@@ -46,12 +46,16 @@ void BM_PartitionCholesky(benchmark::State& state) {
 
   hyper::PartitionerConfig config;
   config.num_parts = 4;
+  std::uint64_t connectivity = 0;
   for (auto _ : state) {
     config.seed += 1;
     const auto part = hyper::partition_hypergraph(hypergraph, config);
     benchmark::DoNotOptimize(part.data());
+    connectivity = hyper::evaluate_partition(hypergraph, part, config.num_parts)
+                       .connectivity_minus_1;
   }
   state.counters["tasks"] = static_cast<double>(graph.num_tasks());
+  state.counters["connectivity"] = static_cast<double>(connectivity);
 }
 BENCHMARK(BM_PartitionCholesky)->Arg(12)->Arg(20)->Arg(28)
     ->Unit(benchmark::kMillisecond);

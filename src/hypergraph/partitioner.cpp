@@ -19,12 +19,14 @@ namespace {
 constexpr std::uint32_t kUnmatched = std::numeric_limits<std::uint32_t>::max();
 
 // ---------------------------------------------------------------------------
-// Bisection state: side[v] in {0,1}, pin counts per net, side weights.
+// Bisection state: side[v] in {0,1}, pin counts per net, side weights, and
+// the FM gain of every vertex, kept exact across moves.
 // ---------------------------------------------------------------------------
 
 struct Bisection {
   std::vector<std::uint8_t> side;
   std::vector<std::array<std::uint32_t, 2>> pins_in;
+  std::vector<std::int64_t> gains;  ///< cut decrease if v switched sides
   std::array<std::uint64_t, 2> weight{0, 0};
   std::uint64_t cut = 0;
 
@@ -42,10 +44,14 @@ struct Bisection {
         cut += hypergraph.net_weight(e);
       }
     }
+    gains.resize(hypergraph.num_vertices());
+    for (VertexId v = 0; v < hypergraph.num_vertices(); ++v) {
+      gains[v] = compute_gain(hypergraph, v);
+    }
   }
 
-  [[nodiscard]] std::int64_t gain(const Hypergraph& hypergraph,
-                                  VertexId v) const {
+  [[nodiscard]] std::int64_t compute_gain(const Hypergraph& hypergraph,
+                                          VertexId v) const {
     std::int64_t g = 0;
     const std::uint8_t from = side[v];
     for (NetId e : hypergraph.nets_of(v)) {
@@ -56,21 +62,51 @@ struct Bisection {
     return g;
   }
 
-  void move(const Hypergraph& hypergraph, VertexId v) {
+  /// Moves v to the other side and updates gains by delta. Only nets whose
+  /// side counts cross the 0/1/2 thresholds (critical nets) change the gains
+  /// of their other pins; `on_gain_change(u)` is called for each such pin.
+  /// The moved vertex's gain negates: moving it back undoes the cut change.
+  template <typename OnGainChange>
+  void move(const Hypergraph& hypergraph, VertexId v,
+            OnGainChange&& on_gain_change) {
     const std::uint8_t from = side[v];
     const std::uint8_t to = static_cast<std::uint8_t>(1 - from);
     for (NetId e : hypergraph.nets_of(v)) {
       const std::uint64_t w = hypergraph.net_weight(e);
-      const bool was_cut = pins_in[e][0] > 0 && pins_in[e][1] > 0;
+      const std::uint32_t from_pins = pins_in[e][from];  // includes v
+      const std::uint32_t to_pins = pins_in[e][to];
+      const bool was_cut = from_pins > 0 && to_pins > 0;
       --pins_in[e][from];
       ++pins_in[e][to];
       const bool is_cut = pins_in[e][0] > 0 && pins_in[e][1] > 0;
       if (was_cut && !is_cut) cut -= w;
       if (!was_cut && is_cut) cut += w;
+
+      // A `from` pin gains w when it becomes the last one there and w when
+      // the net stops being internal to `from`; a `to` pin loses w when it
+      // stops being the only one there and w when `from` empties.
+      const auto sw = static_cast<std::int64_t>(w);
+      const std::int64_t from_delta =
+          (from_pins == 2 ? sw : 0) + (to_pins == 0 ? sw : 0);
+      const std::int64_t to_delta =
+          -((to_pins == 1 ? sw : 0) + (from_pins == 1 ? sw : 0));
+      if (from_delta == 0 && to_delta == 0) continue;
+      for (VertexId u : hypergraph.pins(e)) {
+        if (u == v) continue;
+        const std::int64_t delta = side[u] == from ? from_delta : to_delta;
+        if (delta == 0) continue;
+        gains[u] += delta;
+        on_gain_change(u);
+      }
     }
     weight[from] -= hypergraph.vertex_weight(v);
     weight[to] += hypergraph.vertex_weight(v);
     side[v] = to;
+    gains[v] = -gains[v];
+  }
+
+  void move(const Hypergraph& hypergraph, VertexId v) {
+    move(hypergraph, v, [](VertexId) {});
   }
 };
 
@@ -90,6 +126,14 @@ struct BalanceBounds {
 // ---------------------------------------------------------------------------
 // FM refinement with rollback to the best feasible prefix. Returns true if
 // the pass improved (cut or balance).
+//
+// The heap is lazy: an entry whose gain is out of date is re-pushed with the
+// current gain when popped. After each move every unlocked pin of every cut
+// net around the moved vertex must be in the heap with its current gain. A
+// pin that already has a heap entry with that gain is not pushed again: two
+// identical (gain, vertex) entries always lead to the same outcome, so the
+// duplicate changes no decision. Per-net counts of pins still awaiting such
+// a push let the refresh skip nets with none.
 // ---------------------------------------------------------------------------
 
 bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
@@ -107,6 +151,32 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
   std::priority_queue<HeapEntry> heap;
   std::vector<std::uint8_t> locked(n, 0);
 
+  // queued_gain[v]: gain of v's newest heap entry while that entry is still
+  // in the heap, else kNotQueued. needs_push[v]: v is unlocked and has no
+  // entry with its current gain; pending[e] counts such pins of net e.
+  constexpr std::int64_t kNotQueued = std::numeric_limits<std::int64_t>::min();
+  std::vector<std::int64_t> queued_gain(n, kNotQueued);
+  std::vector<std::uint8_t> needs_push(n, 0);
+  std::vector<std::uint32_t> pending(hypergraph.num_nets(), 0);
+
+  auto update_need = [&](VertexId u) {
+    const bool need = !locked[u] && queued_gain[u] != bisection.gains[u];
+    if (need == (needs_push[u] != 0)) return;
+    needs_push[u] = need ? 1 : 0;
+    for (NetId e : hypergraph.nets_of(u)) {
+      if (need) {
+        ++pending[e];
+      } else {
+        --pending[e];
+      }
+    }
+  };
+  auto push = [&](VertexId u) {
+    heap.push({bisection.gains[u], u});
+    queued_gain[u] = bisection.gains[u];
+    update_need(u);
+  };
+
   // Seed the heap with boundary vertices (vertices on at least one cut net);
   // if the partition is unbalanced also seed everything on the heavy side.
   const bool fix_balance = bounds.overweight(bisection.weight) > 0;
@@ -123,7 +193,9 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
         bisection.weight[bisection.side[v]] >
             bounds.max_weight[bisection.side[v]];
     if (boundary || heavy_side) {
-      heap.push({bisection.gain(hypergraph, v), v});
+      push(v);
+    } else {
+      update_need(v);
     }
   }
 
@@ -146,9 +218,14 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
     heap.pop();
     const VertexId v = top.vertex;
     if (locked[v]) continue;
-    const std::int64_t current_gain = bisection.gain(hypergraph, v);
+    if (queued_gain[v] == top.gain) {
+      queued_gain[v] = kNotQueued;
+      update_need(v);
+    }
+    const std::int64_t current_gain = bisection.gains[v];
+    MG_DCHECK(current_gain == bisection.compute_gain(hypergraph, v));
     if (current_gain != top.gain) {  // stale entry: reinsert with fresh gain
-      heap.push({current_gain, v});
+      if (needs_push[v]) push(v);
       continue;
     }
     // Balance feasibility of the move (allow when it reduces overweight).
@@ -162,8 +239,9 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
     const std::uint64_t over_after = bounds.overweight(weight_after);
     if (over_after > over_now) continue;  // would worsen balance: skip
 
-    bisection.move(hypergraph, v);
+    bisection.move(hypergraph, v, update_need);
     locked[v] = 1;
+    update_need(v);
     moves.push_back(v);
     cum_gain += current_gain;
 
@@ -181,14 +259,15 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
       ++since_best;
     }
 
-    // Refresh neighbours whose gain changed.
+    // Queue every unlocked pin of the cut nets around v at its current gain.
     for (NetId e : hypergraph.nets_of(v)) {
-      // Only nets near the boundary matter; skip internal ones.
-      if (bisection.pins_in[e][0] != 0 && bisection.pins_in[e][1] != 0 &&
-          bisection.pins_in[e][0] + bisection.pins_in[e][1] > 1) {
-        for (VertexId u : hypergraph.pins(e)) {
-          if (!locked[u]) heap.push({bisection.gain(hypergraph, u), u});
-        }
+      if (pending[e] == 0 || bisection.pins_in[e][0] == 0 ||
+          bisection.pins_in[e][1] == 0) {
+        continue;
+      }
+      for (VertexId u : hypergraph.pins(e)) {
+        if (needs_push[u]) push(u);
+        if (pending[e] == 0) break;
       }
     }
   }

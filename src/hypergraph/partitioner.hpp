@@ -7,7 +7,9 @@
 //   * initial bisection at the coarsest level by randomized greedy growth,
 //     with `num_restarts` restarts (the paper sets hMETIS Nruns = 20);
 //   * Fiduccia–Mattheyses boundary refinement at every level, with
-//     rollback to the best feasible prefix;
+//     rollback to the best feasible prefix; vertex gains are maintained
+//     incrementally (updated by delta on critical nets, those whose side
+//     counts cross 0/1/2) instead of being recomputed after every move;
 //   * K-way by recursive bisection with proportional target weights, so any
 //     K (not only powers of two) is supported;
 //   * `cycles` independent multilevel runs keep the best result (the paper

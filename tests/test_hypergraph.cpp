@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "hypergraph/hypergraph.hpp"
@@ -239,6 +242,86 @@ TEST(Partitioner, HandlesNonPowerOfTwoParts) {
   EXPECT_GT(min_weight, 0u);
   EXPECT_LT(static_cast<double>(max_weight),
             1.35 * static_cast<double>(min_weight));
+}
+
+// ---------------------------------------------------------------------------
+// Golden partitions: the exact output of partition_hypergraph for fixed
+// inputs and seeds. They pin every FM decision, so a change to a single
+// move (e.g. in the incremental gain bookkeeping) shows up here.
+// ---------------------------------------------------------------------------
+
+std::uint64_t part_digest(const std::vector<std::uint32_t>& part) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a
+  for (std::uint32_t p : part) {
+    hash ^= p;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// Random hypergraph with non-uniform vertex and net weights: mostly small
+/// nets, a few wide ones, and some vertices touching no net.
+Hypergraph random_hypergraph(std::uint32_t num_vertices,
+                             std::uint32_t num_nets, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::uint64_t> vertex_weights(num_vertices);
+  for (auto& weight : vertex_weights) weight = 1 + rng.below(9);
+  std::vector<std::vector<VertexId>> net_pins(num_nets);
+  std::vector<std::uint64_t> net_weights(num_nets);
+  for (std::uint32_t e = 0; e < num_nets; ++e) {
+    const std::uint64_t size = rng.chance(0.05) ? 20 + rng.below(40)
+                                                : 2 + rng.below(6);
+    auto& pins = net_pins[e];
+    for (std::uint64_t i = 0; i < size; ++i) {
+      pins.push_back(static_cast<VertexId>(rng.below(num_vertices)));
+    }
+    std::sort(pins.begin(), pins.end());
+    pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
+    net_weights[e] = 1 + rng.below(1000);
+  }
+  return Hypergraph(std::move(vertex_weights), net_pins,
+                    std::move(net_weights));
+}
+
+struct GoldenCase {
+  std::string name;
+  Hypergraph hypergraph;
+  PartitionerConfig config;
+  std::uint64_t digest;
+  std::uint64_t connectivity;
+};
+
+TEST(Partitioner, GoldenPartitionsAreBitIdentical) {
+  const auto matmul = [](std::uint32_t n) {
+    return hypergraph_from_task_graph(work::make_matmul_2d({.n = n}));
+  };
+  const GoldenCase cases[] = {
+      {"matmul2d_32_k4", matmul(32), {.num_parts = 4, .seed = 8001},
+       6892382714736144053ULL, 1652000000},
+      {"matmul2d_64_k4", matmul(64), {.num_parts = 4, .seed = 8002},
+       13037816427658156154ULL, 3528000000},
+      {"cholesky_20_k4",
+       hypergraph_from_task_graph(work::make_cholesky_tasks({.n = 20})),
+       {.num_parts = 4, .seed = 8003}, 6208797603411385274ULL, 1150156800},
+      {"matmul2d_24_k3", matmul(24), {.num_parts = 3, .seed = 8004},
+       6015994526173061007ULL, 952000000},
+      {"matmul2d_24_k3_shares", matmul(24),
+       {.num_parts = 3, .seed = 8005, .target_share = {1.0, 2.0, 3.0}},
+       7853582468362120588ULL, 1050000000},
+      {"random_600_k2", random_hypergraph(600, 500, 8006),
+       {.num_parts = 2, .seed = 8006}, 7002741404042792509ULL, 98244},
+      {"random_1500_k4", random_hypergraph(1500, 1200, 8007),
+       {.num_parts = 4, .seed = 8007}, 2597793391475525951ULL, 510529},
+  };
+  for (const GoldenCase& golden : cases) {
+    SCOPED_TRACE(golden.name);
+    const auto part = partition_hypergraph(golden.hypergraph, golden.config);
+    EXPECT_EQ(part_digest(part), golden.digest);
+    EXPECT_EQ(evaluate_partition(golden.hypergraph, part,
+                                 golden.config.num_parts)
+                  .connectivity_minus_1,
+              golden.connectivity);
+  }
 }
 
 }  // namespace
