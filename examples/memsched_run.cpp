@@ -57,10 +57,6 @@ std::unique_ptr<core::Scheduler> make_scheduler(const std::string& name) {
     return std::make_unique<core::DartsScheduler>(core::DartsOptions{
         .use_luf = true, .three_inputs = true, .opti = true});
   }
-  if (name == "darts+luf+incr") {
-    return std::make_unique<core::DartsScheduler>(
-        core::DartsOptions{.use_luf = true, .incremental = true});
-  }
   if (name == "locality") return std::make_unique<cluster::LocalityScheduler>();
   // hier:<inner> wraps any of the above in the hierarchical inter-node
   // partitioner (one <inner> instance per cluster node).
@@ -111,7 +107,7 @@ int main(int argc, char** argv) {
       "random\n"
       "schedulers: eager, dmda, dmdar, mhfp, hmetis+r, darts, darts+luf,\n"
       "            darts+luf+opti, darts+luf-3inputs, darts+luf+opti-3inputs,\n"
-      "            darts+luf+incr, locality, hier:<any of the above>");
+      "            locality, hier:<any of the above>");
   flags.define_string("workload", "matmul2d", "workload generator")
       .define_int("n", 20, "workload dimension (N)")
       .define_string("scheduler", "darts+luf", "scheduling policy")

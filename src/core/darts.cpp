@@ -12,7 +12,6 @@ std::string darts_variant_name(const DartsOptions& options) {
   if (options.opti) name += "+OPTI";
   if (options.scan_threshold > 0) name += "+threshold";
   if (options.three_inputs) name += "-3inputs";
-  if (options.incremental) name += "+incr";
   if (options.tier_boost > 0.0) name += "+tier";
   return name;
 }
@@ -55,12 +54,20 @@ void DartsScheduler::ScanList::push_back(DataId data) {
   ++count;
 }
 
+template <typename Visit>
+void DartsScheduler::for_each_live_consumer(DataId data, Visit&& visit) {
+  std::vector<TaskId>& live = live_consumers_[data];
+  std::size_t kept = 0;
+  for (const TaskId task : live) {
+    if (state_[task] == TaskState::kDone) continue;
+    live[kept++] = task;
+    visit(task);
+  }
+  live.resize(kept);
+}
+
 void DartsScheduler::prepare(const TaskGraph& graph, const Platform& platform,
                              std::uint64_t seed) {
-  MG_CHECK_MSG(!options_.incremental ||
-                   (!options_.three_inputs && !options_.opti &&
-                    options_.scan_threshold == 0),
-               "incremental DARTS does not compose with the scan variants");
   graph_ = &graph;
   rng_.reseed(seed);
 
@@ -73,51 +80,28 @@ void DartsScheduler::prepare(const TaskGraph& graph, const Platform& platform,
       dep_pending_[task] = graph.num_predecessors(task);
     }
   }
-  if (streaming_) {
-    // Nothing has arrived yet: the shared pool fills via notify_job_arrived.
-    state_.assign(num_tasks, TaskState::kUnsubmitted);
-    available_.clear();
-    available_pos_.assign(num_tasks, kNoPos);
-  } else if (deps_) {
-    // The shared pool is the ready frontier: only tasks without
-    // predecessors start available; the rest join via notify_task_retired.
-    state_.assign(num_tasks, TaskState::kUnsubmitted);
-    available_.clear();
-    available_pos_.assign(num_tasks, kNoPos);
-    for (TaskId task = 0; task < num_tasks; ++task) {
-      if (graph.num_predecessors(task) == 0) {
-        state_[task] = TaskState::kAvailable;
-        push_to_available(task);
-      }
-    }
-  } else {
-    state_.assign(num_tasks, TaskState::kAvailable);
-    available_.resize(num_tasks);
-    available_pos_.resize(num_tasks);
-    for (TaskId task = 0; task < num_tasks; ++task) {
-      available_[task] = task;
-      available_pos_[task] = task;
-    }
-  }
+  state_.assign(num_tasks, TaskState::kUnsubmitted);
+  available_.clear();
+  available_pos_.assign(num_tasks, kNoPos);
+  live_consumers_.assign(num_data, {});
+  unprocessed_.assign(num_data, 0);
 
   per_gpu_.assign(platform.num_gpus, PerGpu{});
   for (PerGpu& gpu_state : per_gpu_) {
     gpu_state.data_not_in_mem.init(num_data);
     gpu_state.use_stamp.assign(num_data, 0);
-    if (options_.incremental) {
-      gpu_state.in_mem.assign(num_data, 0);
-      gpu_state.missing.resize(num_tasks);
-      gpu_state.free_count.assign(num_data, 0);
-      for (TaskId task = 0; task < num_tasks; ++task) {
-        const auto degree =
-            static_cast<std::uint32_t>(graph.inputs(task).size());
-        gpu_state.missing[task] = degree;
-        // n(D) counts *available* tasks only; a task joins the counters when
-        // its job arrives (streaming) or its last predecessor retires (deps).
-        if (state_[task] == TaskState::kAvailable && degree == 1) {
-          ++gpu_state.free_count[graph.inputs(task)[0]];
-        }
-      }
+    gpu_state.in_mem.assign(num_data, 0);
+    gpu_state.missing.assign(num_tasks, 0);
+    for (auto& count : gpu_state.count) count.assign(num_data, 0);
+  }
+
+  // Streaming: nothing has arrived yet, the shared pool fills via
+  // notify_job_arrived. Dependencies: the shared pool is the ready frontier,
+  // so only tasks without predecessors start available; the rest join via
+  // notify_task_retired.
+  if (!streaming_) {
+    for (TaskId task = 0; task < num_tasks; ++task) {
+      if (!deps_ || graph.num_predecessors(task) == 0) admit(task);
     }
   }
   occ_hinted_ = false;
@@ -143,12 +127,7 @@ void DartsScheduler::notify_job_arrived(std::uint32_t job,
         job < job_priority_.size() ? job_priority_[job] : 0;
     for (TaskId task : tasks) task_priority_[task] = priority;
   }
-  for (TaskId task : tasks) {
-    MG_DCHECK(state_[task] == TaskState::kUnsubmitted);
-    state_[task] = TaskState::kAvailable;
-    push_to_available(task);
-    incremental_availability_change(task, +1);
-  }
+  for (TaskId task : tasks) admit(task);
 }
 
 void DartsScheduler::notify_job_priority(std::uint32_t job,
@@ -158,13 +137,13 @@ void DartsScheduler::notify_job_priority(std::uint32_t job,
   if (priority > 0) has_priorities_ = true;
 }
 
-std::uint32_t DartsScheduler::data_priority(DataId data) const {
+std::uint32_t DartsScheduler::data_priority(DataId data) {
   std::uint32_t best = 0;
-  for (TaskId task : graph_->consumers(data)) {
+  for_each_live_consumer(data, [&](TaskId task) {
     if (state_[task] == TaskState::kAvailable) {
       best = std::max(best, task_priority(task));
     }
-  }
+  });
   return best;
 }
 
@@ -175,13 +154,8 @@ void DartsScheduler::notify_task_retired(
     if (dep_pending_[succ] > 0) --dep_pending_[succ];
   }
   // The enabled successors extend the ready frontier — the same move a
-  // streamed job arrival makes, including the incremental n(D) bookkeeping.
-  for (TaskId succ : enabled_successors) {
-    MG_DCHECK(state_[succ] == TaskState::kUnsubmitted);
-    state_[succ] = TaskState::kAvailable;
-    push_to_available(succ);
-    incremental_availability_change(succ, +1);
-  }
+  // streamed job arrival makes.
+  for (TaskId succ : enabled_successors) admit(succ);
 }
 
 std::uint64_t DartsScheduler::unlock_weight(TaskId task) const {
@@ -208,11 +182,11 @@ std::uint64_t DartsScheduler::unlock_weight(TaskId task) const {
   return weight;
 }
 
-std::uint64_t DartsScheduler::successor_weight_of_data(DataId data) const {
+std::uint64_t DartsScheduler::successor_weight_of_data(DataId data) {
   std::uint64_t weight = 0;
-  for (TaskId task : graph_->consumers(data)) {
+  for_each_live_consumer(data, [&](TaskId task) {
     if (state_[task] == TaskState::kAvailable) weight += unlock_weight(task);
-  }
+  });
   return weight;
 }
 
@@ -223,7 +197,7 @@ DataId DartsScheduler::choose_candidate_successor_aware() {
   DataId chosen = kInvalidData;
   for (DataId data : candidates_) {
     const std::uint64_t weight = successor_weight_of_data(data);
-    const std::uint32_t consumers = count_unprocessed_consumers(data);
+    const std::uint32_t consumers = unprocessed_[data];
     if (chosen == kInvalidData || weight > best_weight ||
         (weight == best_weight && consumers > best_consumers)) {
       best_weight = weight;
@@ -238,8 +212,7 @@ DataId DartsScheduler::choose_candidate_successor_aware() {
   return chosen;
 }
 
-TaskId DartsScheduler::take_available_successor_aware(
-    GpuId gpu, const MemoryView* memory) {
+TaskId DartsScheduler::take_available_successor_aware(GpuId gpu) {
   // Locality first: a narrow ready frontier makes this fallback the common
   // case on DAG runs, and a frontier task with fewer absent inputs costs
   // fewer host loads right now. Unlock weight only breaks locality ties —
@@ -250,14 +223,7 @@ TaskId DartsScheduler::take_available_successor_aware(
   std::size_t tie_count = 0;
   TaskId chosen = kInvalidTask;
   for (TaskId task : available_) {
-    std::uint32_t missing = 0;
-    if (options_.incremental) {
-      missing = gpu_state.missing[task];
-    } else if (memory != nullptr) {
-      for (DataId data : graph_->inputs(task)) {
-        if (!memory->is_present_or_fetching(data)) ++missing;
-      }
-    }
+    const std::uint32_t missing = gpu_state.missing[task];
     const std::uint64_t weight = unlock_weight(task);
     if (chosen == kInvalidTask || missing < best_missing ||
         (missing == best_missing && weight > best_weight)) {
@@ -272,42 +238,133 @@ TaskId DartsScheduler::take_available_successor_aware(
   }
   if (chosen == kInvalidTask) return kInvalidTask;
   for (DataId data : graph_->inputs(chosen)) remove_data_from_scan(gpu, data);
-  incremental_availability_change(chosen, -1);
-  remove_from_available(chosen);
+  leave_pool(chosen);
   mark_buffered(gpu, chosen);
   return chosen;
 }
 
-bool DartsScheduler::rest_in_memory(TaskId task, const MemoryView& memory,
-                                    DataId extra, DataId extra2) const {
+void DartsScheduler::admit(TaskId task) {
+  MG_DCHECK(state_[task] == TaskState::kUnsubmitted);
+  const auto inputs = graph_->inputs(task);
+  for (DataId data : inputs) {
+    live_consumers_[data].push_back(task);
+    ++unprocessed_[data];
+  }
+  for (PerGpu& gpu_state : per_gpu_) {
+    std::uint32_t missing = 0;
+    for (DataId data : inputs) {
+      if (gpu_state.in_mem[data] == 0) ++missing;
+    }
+    gpu_state.missing[task] = missing;
+  }
+  join_pool(task);
+}
+
+void DartsScheduler::join_pool(TaskId task) {
+  state_[task] = TaskState::kAvailable;
+  push_to_available(task);
+  for (PerGpu& gpu_state : per_gpu_) adjust_counts(gpu_state, task, true);
+}
+
+void DartsScheduler::leave_pool(TaskId task) {
+  for (PerGpu& gpu_state : per_gpu_) adjust_counts(gpu_state, task, false);
+  remove_from_available(task);
+}
+
+void DartsScheduler::adjust_counts(PerGpu& gpu_state, TaskId task,
+                                   bool add) const {
+  const std::uint32_t missing = gpu_state.missing[task];
+  if (missing >= gpu_state.count.size()) return;
+  std::vector<std::uint32_t>& count = gpu_state.count[missing];
   for (DataId data : graph_->inputs(task)) {
-    if (data == extra || data == extra2) continue;
-    if (!memory.is_present_or_fetching(data)) return false;
+    if (add) {
+      ++count[data];
+    } else {
+      MG_DCHECK(count[data] > 0);
+      --count[data];
+    }
+  }
+}
+
+void DartsScheduler::sync_memory(GpuId gpu, const MemoryView& memory) {
+  PerGpu& gpu_state = per_gpu_[gpu];
+  const auto num_data = static_cast<DataId>(gpu_state.in_mem.size());
+  for (DataId data = 0; data < num_data; ++data) {
+    const bool present = memory.is_present_or_fetching(data);
+    if (present == (gpu_state.in_mem[data] != 0)) continue;
+    gpu_state.in_mem[data] = present ? 1 : 0;
+    for_each_live_consumer(data, [&](TaskId task) {
+      const bool available = state_[task] == TaskState::kAvailable;
+      if (available) adjust_counts(gpu_state, task, false);
+      if (present) {
+        --gpu_state.missing[task];
+      } else {
+        ++gpu_state.missing[task];
+      }
+      if (available) adjust_counts(gpu_state, task, true);
+    });
+  }
+}
+
+bool DartsScheduler::counts_match_rescan(GpuId gpu,
+                                         const MemoryView& memory) const {
+  const PerGpu& gpu_state = per_gpu_[gpu];
+  const ScanList& list = gpu_state.data_not_in_mem;
+  for (DataId data = list.first(); data != list.sentinel();
+       data = list.after(data)) {
+    std::uint32_t freed = 0;
+    std::uint32_t one_away = 0;
+    std::uint32_t unprocessed = 0;
+    for (TaskId task : graph_->consumers(data)) {
+      if (state_[task] == TaskState::kDone ||
+          state_[task] == TaskState::kUnsubmitted) {
+        continue;
+      }
+      ++unprocessed;
+      if (state_[task] != TaskState::kAvailable) continue;
+      std::uint32_t absent_others = 0;
+      for (DataId input : graph_->inputs(task)) {
+        if (input != data && !memory.is_present_or_fetching(input)) {
+          ++absent_others;
+        }
+      }
+      if (absent_others == 0) ++freed;
+      if (absent_others == 1) ++one_away;
+    }
+    if (freed != gpu_state.freed_by(data) ||
+        one_away != gpu_state.one_away_with(data) ||
+        unprocessed != unprocessed_[data]) {
+      return false;
+    }
   }
   return true;
 }
 
-std::uint32_t DartsScheduler::count_unprocessed_consumers(DataId data) const {
-  std::uint32_t count = 0;
-  for (TaskId task : graph_->consumers(data)) {
-    // Unsubmitted tasks are invisible: counting them would leak knowledge of
-    // jobs that have not arrived yet into the tie-break.
-    if (state_[task] != TaskState::kDone &&
-        state_[task] != TaskState::kUnsubmitted) {
-      ++count;
+void DartsScheduler::collect_available(GpuId gpu, DataId data,
+                                       std::uint32_t missing) {
+  const PerGpu& gpu_state = per_gpu_[gpu];
+  free_tasks_.clear();
+  for_each_live_consumer(data, [&](TaskId task) {
+    if (state_[task] == TaskState::kAvailable &&
+        gpu_state.missing[task] == missing) {
+      free_tasks_.push_back(task);
     }
-  }
-  return count;
+  });
+  // Live lists are in arrival order, which streamed and DAG runs scramble;
+  // plan order and the 3inputs draw follow ascending task ids, the order
+  // of consumers().
+  std::sort(free_tasks_.begin(), free_tasks_.end());
 }
 
 TaskId DartsScheduler::pop_task(GpuId gpu, const MemoryView& memory) {
   PerGpu& gpu_state = per_gpu_[gpu];
   if (!gpu_state.planned.empty()) return pop_planned(gpu);
   if (available_.empty()) return kInvalidTask;
-  if (options_.incremental) return pop_task_incremental(gpu);
+  sync_memory(gpu, memory);
+  MG_DCHECK(counts_match_rescan(gpu, memory));
 
   // Line 4-6 of Algorithm 5: find the data whose load frees the most tasks.
-  // The list is scanned in submission order; the threshold variant caps how
+  // The list is walked in submission order; the threshold variant caps how
   // many entries one decision may visit and rotates the start so successive
   // decisions cover the whole list rather than re-inspecting a stale prefix.
   const ScanList& list = gpu_state.data_not_in_mem;
@@ -327,17 +384,11 @@ TaskId DartsScheduler::pop_task(GpuId gpu, const MemoryView& memory) {
     if (data == list.sentinel()) data = list.first();  // wrap
     const DataId current = data;
     data = list.after(data);
-    std::uint32_t n = 0;
-    for (TaskId task : graph_->consumers(current)) {
-      if (state_[task] == TaskState::kAvailable &&
-          rest_in_memory(task, memory, current)) {
-        ++n;
-      }
-    }
+    const std::uint32_t n = gpu_state.freed_by(current);
     if (n == 0) continue;
     if (options_.opti) {
       gpu_state.scan_cursor = data == list.sentinel() ? kInvalidData : data;
-      return plan_and_pop(gpu, memory, current);
+      return plan_and_pop(gpu, current);
     }
     if (n > n_max) {
       n_max = n;
@@ -354,9 +405,7 @@ TaskId DartsScheduler::pop_task(GpuId gpu, const MemoryView& memory) {
   if (n_max > 0) {
     // On a dependency-gated run, break candidate ties towards the data
     // whose freed tasks unlock the most successors.
-    if (deps_) {
-      return plan_and_pop(gpu, memory, choose_candidate_successor_aware());
-    }
+    if (deps_) return plan_and_pop(gpu, choose_candidate_successor_aware());
     // Tier boost: each candidate's consumer score is lifted by its best
     // available consumer's priority, so data serving high-tier jobs is
     // planned first. Dormant runs never enter this branch (identical
@@ -367,7 +416,7 @@ TaskId DartsScheduler::pop_task(GpuId gpu, const MemoryView& memory) {
       DataId chosen = kInvalidData;
       for (DataId candidate : candidates_) {
         const double score =
-            static_cast<double>(count_unprocessed_consumers(candidate)) +
+            static_cast<double>(unprocessed_[candidate]) +
             options_.tier_boost * static_cast<double>(data_priority(candidate));
         if (score > best_score) {
           best_score = score;
@@ -378,139 +427,43 @@ TaskId DartsScheduler::pop_task(GpuId gpu, const MemoryView& memory) {
           if (rng_.below(tie_count) == 0) chosen = candidate;
         }
       }
-      return plan_and_pop(gpu, memory, chosen);
+      return plan_and_pop(gpu, chosen);
     }
     // Lines 8-9: among data freeing n_max tasks, prefer the one useful to
     // the most unprocessed tasks overall; break remaining ties at random.
     std::uint32_t best_consumers = 0;
     std::size_t tie_count = 0;
     DataId chosen = kInvalidData;
-    for (DataId data : candidates_) {
-      const std::uint32_t consumers = count_unprocessed_consumers(data);
+    for (DataId candidate : candidates_) {
+      const std::uint32_t consumers = unprocessed_[candidate];
       if (consumers > best_consumers) {
         best_consumers = consumers;
-        chosen = data;
+        chosen = candidate;
         tie_count = 1;
       } else if (consumers == best_consumers) {
         // Reservoir-style uniform choice among ties.
         ++tie_count;
-        if (rng_.below(tie_count) == 0) chosen = data;
+        if (rng_.below(tie_count) == 0) chosen = candidate;
       }
     }
-    return plan_and_pop(gpu, memory, chosen);
+    return plan_and_pop(gpu, chosen);
   }
 
   // Line 13: no data frees a task.
   if (options_.three_inputs) {
-    const TaskId task = take_three_inputs(gpu, memory);
+    const TaskId task = take_three_inputs(gpu);
     if (task != kInvalidTask) return task;
   }
-  return take_random_available(gpu, &memory);
+  return take_random_available(gpu);
 }
 
-TaskId DartsScheduler::pop_task_incremental(GpuId gpu) {
+TaskId DartsScheduler::plan_and_pop(GpuId gpu, DataId data) {
   PerGpu& gpu_state = per_gpu_[gpu];
-  // Max n(D) over dataNotInMem; ties by unprocessed consumers, then random.
-  const ScanList& list = gpu_state.data_not_in_mem;
-  std::uint32_t n_max = 0;
-  candidates_.clear();
-  for (DataId data = list.first(); data != list.sentinel();
-       data = list.after(data)) {
-    const std::uint32_t n = gpu_state.free_count[data];
-    if (n == 0) continue;
-    if (n > n_max) {
-      n_max = n;
-      candidates_.clear();
-      candidates_.push_back(data);
-    } else if (n == n_max) {
-      candidates_.push_back(data);
-    }
-  }
-  if (n_max > 0) {
-    if (deps_) {
-      return plan_and_pop_incremental(gpu, choose_candidate_successor_aware());
-    }
-    std::uint32_t best_consumers = 0;
-    std::size_t tie_count = 0;
-    DataId chosen = kInvalidData;
-    for (DataId data : candidates_) {
-      const std::uint32_t consumers = count_unprocessed_consumers(data);
-      if (consumers > best_consumers) {
-        best_consumers = consumers;
-        chosen = data;
-        tie_count = 1;
-      } else if (consumers == best_consumers) {
-        ++tie_count;
-        if (rng_.below(tie_count) == 0) chosen = data;
-      }
-    }
-    return plan_and_pop_incremental(gpu, chosen);
-  }
-  return take_random_available(gpu, nullptr);
-}
-
-TaskId DartsScheduler::plan_and_pop_incremental(GpuId gpu, DataId data) {
-  PerGpu& gpu_state = per_gpu_[gpu];
-  free_tasks_.clear();
-  for (TaskId task : graph_->consumers(data)) {
-    // missing == 1 and the task consumes the absent `data`, so `data` is
-    // exactly its one absent input.
-    if (state_[task] == TaskState::kAvailable &&
-        gpu_state.missing[task] == 1) {
-      free_tasks_.push_back(task);
-    }
-  }
-  MG_DCHECK(free_tasks_.size() == gpu_state.free_count[data]);
-  MG_CHECK_MSG(!free_tasks_.empty(), "incremental n(D) counter desync");
-  for (TaskId task : free_tasks_) {
-    state_[task] = TaskState::kPlanned;
-    incremental_availability_change(task, -1);
-    remove_from_available(task);
-    gpu_state.planned.push_back(task);
-  }
-  remove_data_from_scan(gpu, data);
-  return pop_planned(gpu);
-}
-
-DataId DartsScheduler::sole_missing_input(GpuId gpu, TaskId task) const {
-  const PerGpu& gpu_state = per_gpu_[gpu];
-  MG_DCHECK(gpu_state.missing[task] == 1);
-  for (DataId data : graph_->inputs(task)) {
-    if (gpu_state.in_mem[data] == 0) return data;
-  }
-  MG_CHECK_MSG(false, "missing-count desync in incremental DARTS");
-  return kInvalidData;
-}
-
-void DartsScheduler::incremental_availability_change(TaskId task, int delta) {
-  if (!options_.incremental) return;
-  for (GpuId gpu = 0; gpu < per_gpu_.size(); ++gpu) {
-    PerGpu& gpu_state = per_gpu_[gpu];
-    if (gpu_state.missing[task] != 1) continue;
-    const DataId missing = sole_missing_input(gpu, task);
-    if (delta > 0) {
-      ++gpu_state.free_count[missing];
-    } else {
-      MG_DCHECK(gpu_state.free_count[missing] > 0);
-      --gpu_state.free_count[missing];
-    }
-  }
-}
-
-TaskId DartsScheduler::plan_and_pop(GpuId gpu, const MemoryView& memory,
-                                    DataId data) {
-  PerGpu& gpu_state = per_gpu_[gpu];
-  free_tasks_.clear();
-  for (TaskId task : graph_->consumers(data)) {
-    if (state_[task] == TaskState::kAvailable &&
-        rest_in_memory(task, memory, data)) {
-      free_tasks_.push_back(task);
-    }
-  }
+  collect_available(gpu, data, gpu_state.in_mem[data] != 0 ? 0 : 1);
   MG_DCHECK(!free_tasks_.empty());
   for (TaskId task : free_tasks_) {
+    leave_pool(task);
     state_[task] = TaskState::kPlanned;
-    remove_from_available(task);
     gpu_state.planned.push_back(task);
   }
   remove_data_from_scan(gpu, data);
@@ -544,12 +497,11 @@ TaskId DartsScheduler::pop_planned(GpuId gpu) {
   return task;
 }
 
-TaskId DartsScheduler::take_random_available(GpuId gpu,
-                                             const MemoryView* memory) {
+TaskId DartsScheduler::take_random_available(GpuId gpu) {
   if (available_.empty()) return kInvalidTask;
   // Dependency-gated runs replace the blind uniform pick with a
   // locality-then-unlock-weight choice over the ready frontier.
-  if (deps_) return take_available_successor_aware(gpu, memory);
+  if (deps_) return take_available_successor_aware(gpu);
   TaskId task = kInvalidTask;
   if (tier_active()) {
     // Restrict the uniform pick to the highest-priority available tasks.
@@ -570,13 +522,12 @@ TaskId DartsScheduler::take_random_available(GpuId gpu,
     task = available_[rng_.pick_index(available_)];
   }
   for (DataId data : graph_->inputs(task)) remove_data_from_scan(gpu, data);
-  incremental_availability_change(task, -1);
-  remove_from_available(task);
+  leave_pool(task);
   mark_buffered(gpu, task);
   return task;
 }
 
-TaskId DartsScheduler::take_three_inputs(GpuId gpu, const MemoryView& memory) {
+TaskId DartsScheduler::take_three_inputs(GpuId gpu) {
   PerGpu& gpu_state = per_gpu_[gpu];
   const ScanList& list = gpu_state.data_not_in_mem;
   const std::size_t scan_limit =
@@ -596,18 +547,7 @@ TaskId DartsScheduler::take_three_inputs(GpuId gpu, const MemoryView& memory) {
     if (cursor == list.sentinel()) cursor = list.first();  // wrap
     const DataId data = cursor;
     cursor = list.after(cursor);
-    std::uint32_t n = 0;
-    for (TaskId task : graph_->consumers(data)) {
-      if (state_[task] != TaskState::kAvailable) continue;
-      std::uint32_t missing_others = 0;
-      for (DataId input : graph_->inputs(task)) {
-        if (input != data && !memory.is_present_or_fetching(input)) {
-          ++missing_others;
-          if (missing_others > 1) break;
-        }
-      }
-      if (missing_others == 1) ++n;
-    }
+    const std::uint32_t n = gpu_state.one_away_with(data);
     if (n > best_n) {
       best_n = n;
       best_data = data;
@@ -616,21 +556,11 @@ TaskId DartsScheduler::take_three_inputs(GpuId gpu, const MemoryView& memory) {
   if (best_data == kInvalidData) return kInvalidTask;
 
   // Pick one qualifying task of best_data uniformly at random.
-  free_tasks_.clear();
-  for (TaskId task : graph_->consumers(best_data)) {
-    if (state_[task] != TaskState::kAvailable) continue;
-    std::uint32_t missing_others = 0;
-    for (DataId input : graph_->inputs(task)) {
-      if (input != best_data && !memory.is_present_or_fetching(input)) {
-        ++missing_others;
-      }
-    }
-    if (missing_others == 1) free_tasks_.push_back(task);
-  }
+  collect_available(gpu, best_data, gpu_state.in_mem[best_data] != 0 ? 1 : 2);
   MG_DCHECK(!free_tasks_.empty());
   const TaskId task = free_tasks_[rng_.pick_index(free_tasks_)];
   for (DataId data : graph_->inputs(task)) remove_data_from_scan(gpu, data);
-  remove_from_available(task);
+  leave_pool(task);
   mark_buffered(gpu, task);
   return task;
 }
@@ -643,6 +573,8 @@ void DartsScheduler::mark_buffered(GpuId gpu, TaskId task) {
 void DartsScheduler::notify_task_complete(GpuId gpu, TaskId task) {
   MG_DCHECK(state_[task] == TaskState::kBuffered);
   state_[task] = TaskState::kDone;
+  // Leaves the live set; the consumer lists drop it lazily.
+  for (DataId data : graph_->inputs(task)) --unprocessed_[data];
   // The entry can be legitimately absent: when `gpu` died, notify_gpu_lost
   // cleared its whole taskBuffer, yet a task the engine had ejected from the
   // pipeline beforehand (fault-time dependency revocation) still reports its
@@ -656,28 +588,6 @@ void DartsScheduler::notify_data_loaded(GpuId gpu, DataId data) {
   // Normally the data was removed from the scan list when selected; this
   // covers loads triggered outside a planning decision.
   remove_data_from_scan(gpu, data);
-
-  if (options_.incremental) {
-    PerGpu& gpu_state = per_gpu_[gpu];
-    if (gpu_state.in_mem[data] == 0) {
-      gpu_state.in_mem[data] = 1;
-      for (TaskId task : graph_->consumers(data)) {
-        MG_DCHECK(gpu_state.missing[task] > 0);
-        if (state_[task] == TaskState::kAvailable) {
-          if (gpu_state.missing[task] == 1) {
-            // Was free via `data`; now it needs no load at all.
-            MG_DCHECK(gpu_state.free_count[data] > 0);
-            --gpu_state.free_count[data];
-          } else if (gpu_state.missing[task] == 2) {
-            --gpu_state.missing[task];
-            ++gpu_state.free_count[sole_missing_input(gpu, task)];
-            continue;
-          }
-        }
-        --gpu_state.missing[task];
-      }
-    }
-  }
 }
 
 bool DartsScheduler::notify_gpu_lost(GpuId gpu,
@@ -688,9 +598,7 @@ bool DartsScheduler::notify_gpu_lost(GpuId gpu,
   // shared pool so any survivor can pick them up at its next pop.
   for (TaskId task : orphaned) {
     MG_DCHECK(state_[task] == TaskState::kBuffered);
-    state_[task] = TaskState::kAvailable;
-    push_to_available(task);
-    incremental_availability_change(task, +1);
+    join_pool(task);
   }
   gpu_state.buffered.clear();
 
@@ -698,43 +606,14 @@ bool DartsScheduler::notify_gpu_lost(GpuId gpu,
   // reservation the same way Algorithm 6 line 8 does after an eviction.
   for (TaskId task : gpu_state.planned) {
     MG_DCHECK(state_[task] == TaskState::kPlanned);
-    state_[task] = TaskState::kAvailable;
-    push_to_available(task);
-    incremental_availability_change(task, +1);
+    join_pool(task);
   }
   gpu_state.planned.clear();
-
-  // Drop the dead GPU's loaded-data mirror so the incremental n(D) counters
-  // stay consistent with availability changes that still sweep every GPU.
-  if (options_.incremental) {
-    for (DataId data = 0; data < gpu_state.in_mem.size(); ++data) {
-      if (gpu_state.in_mem[data] != 0) notify_data_evicted(gpu, data);
-    }
-  }
   return true;
 }
 
 void DartsScheduler::notify_data_evicted(GpuId gpu, DataId data) {
   push_data_to_scan(gpu, data);
-
-  if (options_.incremental) {
-    PerGpu& gpu_state = per_gpu_[gpu];
-    if (gpu_state.in_mem[data] != 0) {
-      for (TaskId task : graph_->consumers(data)) {
-        if (state_[task] == TaskState::kAvailable) {
-          if (gpu_state.missing[task] == 0) {
-            ++gpu_state.free_count[data];  // `data` becomes its sole miss
-          } else if (gpu_state.missing[task] == 1) {
-            const DataId other = sole_missing_input(gpu, task);
-            MG_DCHECK(gpu_state.free_count[other] > 0);
-            --gpu_state.free_count[other];
-          }
-        }
-        ++gpu_state.missing[task];
-      }
-      gpu_state.in_mem[data] = 0;
-    }
-  }
 }
 
 void DartsScheduler::on_load(GpuId gpu, DataId data) {
@@ -752,9 +631,7 @@ void DartsScheduler::on_evict(GpuId gpu, DataId data) {
   for (auto it = planned.begin(); it != planned.end();) {
     const auto inputs = graph_->inputs(*it);
     if (std::find(inputs.begin(), inputs.end(), data) != inputs.end()) {
-      state_[*it] = TaskState::kAvailable;
-      push_to_available(*it);
-      incremental_availability_change(*it, +1);
+      join_pool(*it);
       it = planned.erase(it);
     } else {
       ++it;

@@ -4,7 +4,7 @@
 //
 // Scheduling side, per GPU request:
 //   * if plannedTasks_k is non-empty, pop it;
-//   * otherwise scan dataNotInMem_k for the data D maximizing n(D), the
+//   * otherwise walk dataNotInMem_k for the data D maximizing n(D), the
 //     number of available tasks that would need no further load if D were
 //     brought in ("free" tasks). Ties are broken by total unprocessed
 //     consumers, then uniformly at random. All free tasks of the chosen data
@@ -13,9 +13,26 @@
 //     enabling the most tasks that are exactly one further load away and
 //     returns one of those tasks; otherwise a random available task is
 //     returned.
-// The OPTI variant stops the scan at the first data with n(D) >= 1; the
-// threshold variant caps how many data the scan may visit. Both trade
-// schedule quality for decision time (Sections V-E/V-F of the paper).
+// The OPTI variant stops the walk at the first data with n(D) >= 1; the
+// threshold variant caps how many data one walk may visit (Sections V-E/V-F
+// of the paper).
+//
+// Decision cost (the paper's first future-work item). n(D) is not recounted
+// from D's consumers at each decision; each GPU keeps
+//   * a mirror of its memory: which data are present or being fetched;
+//   * missing[t], the inputs of task t absent from that mirror;
+//   * count[k][D], the available consumers of D with missing == k, k <= 2.
+// For D absent from the mirror n(D) = count[1][D] and m(D) = count[2][D]
+// (m is 3inputs' one-load-away count); for D present or fetching — it can
+// still be on the list — n(D) = count[0][D] and m(D) = count[1][D]. The
+// mirror is synced against the MemoryView at the start of every planning
+// decision: each data is probed and every flip updates missing[] and the
+// counts of that data's live consumers (arrived and not done). The probe
+// sees what no hook announces — fetch starts and drain-time wipes — so n(D)
+// is exactly what a rescan would find, and decisions and RNG draws are the
+// rescan's. A decision costs O(|data|) probes, the flips since the last
+// decision, and O(|dataNotInMem|) count reads. Debug builds recount n(D)
+// and m(D) by the rescan at each decision and abort on a mismatch.
 //
 // Eviction side (LUF): prefer a victim used by no task of the GPU's pipeline
 // (taskBuffer), minimizing uses by plannedTasks; otherwise apply Belady's
@@ -35,6 +52,7 @@
 // draws) are untouched.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -55,27 +73,17 @@ struct DartsOptions {
   /// most tasks that are a single additional load away (Section V-E).
   bool three_inputs = false;
 
-  /// "OPTI": stop the data scan at the first data enabling >= 1 free task
+  /// "OPTI": stop the data walk at the first data enabling >= 1 free task
   /// (Section V-F).
   bool opti = false;
 
-  /// Cap on the number of candidate data scanned per planning round;
+  /// Cap on the number of candidate data visited per planning round;
   /// 0 = unlimited ("threshold" variant, Section V-C).
   std::uint32_t scan_threshold = 0;
 
-  /// Incremental free-task counting (the paper's first future-work item:
-  /// "improve the computational complexity of DARTS"). Maintains n(D) per
-  /// GPU under load/evict/plan events, so a planning round costs
-  /// O(|dataNotInMem|) instead of O(sum of consumer degrees). Semantics
-  /// differ slightly from the scan: only *fully loaded* data count as in
-  /// memory (the runtime does not announce fetch starts), so decisions can
-  /// diverge from the scan variant while remaining DARTS-shaped.
-  /// Incompatible with three_inputs / opti / scan_threshold.
-  bool incremental = false;
-
   /// SLO tier boost (streamed serving): folds announced job priorities into
   /// planning — deps runs add tier_boost × priority to the unlock weight,
-  /// scan runs boost each candidate data's consumer score by its best
+  /// other runs boost each candidate data's consumer score by its best
   /// available consumer's priority and restrict the no-free-task fallback
   /// to the highest-priority tasks. 0 (the default) leaves every decision
   /// and RNG draw untouched; the boost also stays dormant until some job
@@ -146,19 +154,6 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
     return per_gpu_[gpu].planned;
   }
 
-  /// Incremental-mode n(D) for `data` on `gpu` (test hook: the audit test
-  /// compares this against a from-scratch recount). Only meaningful with
-  /// options().incremental.
-  [[nodiscard]] std::uint32_t incremental_free_count(GpuId gpu,
-                                                     DataId data) const {
-    return per_gpu_[gpu].free_count[data];
-  }
-
-  /// Incremental-mode loaded-data mirror (test hook).
-  [[nodiscard]] bool incremental_in_mem(GpuId gpu, DataId data) const {
-    return per_gpu_[gpu].in_mem[data] != 0;
-  }
-
  private:
   enum class TaskState : std::uint8_t {
     kUnsubmitted,  ///< streaming: job not yet arrived — invisible to planning
@@ -169,8 +164,8 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
   };
 
   /// dataNotInMem_k as an intrusive doubly-linked list over data ids, in
-  /// *submission order* (removals do not scramble it): the order the scan,
-  /// OPTI and threshold variants visit candidates in is part of their
+  /// *submission order* (removals do not scramble it): the order the plain,
+  /// OPTI and threshold walks visit candidates in is part of their
   /// behaviour — a first-enabling-data rule only works when "first" means
   /// something (nearby in the natural task order).
   struct ScanList {
@@ -195,32 +190,61 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
   struct PerGpu {
     std::deque<TaskId> planned;           ///< plannedTasks_k
     std::vector<TaskId> buffered;         ///< taskBuffer_k, in pop order
-    ScanList data_not_in_mem;             ///< scan list, submission order
+    ScanList data_not_in_mem;             ///< walk list, submission order
     std::vector<std::uint64_t> use_stamp; ///< LRU tie-break for LUF
-    DataId scan_cursor = kInvalidData;    ///< rotating threshold-scan start
+    DataId scan_cursor = kInvalidData;    ///< rotating threshold-walk start
 
-    // Incremental mode state (empty otherwise):
-    std::vector<std::uint8_t> in_mem;        ///< loaded-data mirror
-    std::vector<std::uint32_t> missing;      ///< per-task absent-input count
-    std::vector<std::uint32_t> free_count;   ///< n(D) over available tasks
+    /// Present-or-fetching mirror of the GPU's memory as of its last
+    /// planning decision (see sync_memory).
+    std::vector<std::uint8_t> in_mem;
+    /// Inputs of each live task absent from the mirror.
+    std::vector<std::uint32_t> missing;
+    /// count[k][D]: available consumers of D with missing == k.
+    std::array<std::vector<std::uint32_t>, 3> count;
+
+    /// n(D): available tasks needing no load besides D.
+    [[nodiscard]] std::uint32_t freed_by(DataId data) const {
+      return in_mem[data] != 0 ? count[0][data] : count[1][data];
+    }
+    /// m(D): available tasks exactly one load besides D away (3inputs).
+    [[nodiscard]] std::uint32_t one_away_with(DataId data) const {
+      return in_mem[data] != 0 ? count[1][data] : count[2][data];
+    }
   };
-
-  /// True if every input of `task` other than `extra` (and optionally
-  /// `extra2`) is already loaded or loading on the GPU behind `memory`.
-  [[nodiscard]] bool rest_in_memory(TaskId task, const MemoryView& memory,
-                                    DataId extra,
-                                    DataId extra2 = kInvalidData) const;
-
-  [[nodiscard]] std::uint32_t count_unprocessed_consumers(DataId data) const;
 
   void remove_from_available(TaskId task);
   void push_to_available(TaskId task);
   void remove_data_from_scan(GpuId gpu, DataId data);
   void push_data_to_scan(GpuId gpu, DataId data);
 
+  // Shared pool and count maintenance.
+  /// `task` (kUnsubmitted) arrived or was enabled: it joins the live
+  /// consumer lists, gets its missing counts, and becomes available.
+  void admit(TaskId task);
+  /// Puts `task` back in the shared pool.
+  void join_pool(TaskId task);
+  /// Takes `task` out of the shared pool (the caller sets its new state).
+  void leave_pool(TaskId task);
+  /// Adds (or removes) `task` to the count bucket of its missing value on
+  /// `gpu_state`, for each of its inputs.
+  void adjust_counts(PerGpu& gpu_state, TaskId task, bool add) const;
+  /// Calls `visit` on each live consumer of `data`, dropping done tasks
+  /// from the list on the way.
+  template <typename Visit>
+  void for_each_live_consumer(DataId data, Visit&& visit);
+  /// Brings the mirror of `gpu` in line with `memory` (see the header).
+  void sync_memory(GpuId gpu, const MemoryView& memory);
+  /// Debug audit: every listed data's counts equal a rescan of its
+  /// consumers against `memory`.
+  [[nodiscard]] bool counts_match_rescan(GpuId gpu,
+                                         const MemoryView& memory) const;
+  /// Fills free_tasks_ with the available consumers of `data` whose
+  /// missing count on `gpu` is `missing`, in ascending task order.
+  void collect_available(GpuId gpu, DataId data, std::uint32_t missing);
+
   /// Plans on `gpu` every available task freed by loading `data`, and pops
   /// the first of them.
-  TaskId plan_and_pop(GpuId gpu, const MemoryView& memory, DataId data);
+  TaskId plan_and_pop(GpuId gpu, DataId data);
 
   TaskId pop_planned(GpuId gpu);
 
@@ -233,11 +257,9 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
     return task < task_priority_.size() ? task_priority_[task] : 0;
   }
   /// Highest announced priority among the available consumers of `data`.
-  [[nodiscard]] std::uint32_t data_priority(DataId data) const;
-  /// `memory` feeds the dependency-gated fallback's locality ranking; pass
-  /// nullptr from incremental mode (which tracks missing counts itself).
-  TaskId take_random_available(GpuId gpu, const MemoryView* memory = nullptr);
-  TaskId take_three_inputs(GpuId gpu, const MemoryView& memory);
+  [[nodiscard]] std::uint32_t data_priority(DataId data);
+  TaskId take_random_available(GpuId gpu);
+  TaskId take_three_inputs(GpuId gpu);
   void mark_buffered(GpuId gpu, TaskId task);
 
   // Successor-aware planning (dependency-gated runs only).
@@ -247,21 +269,13 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
   /// loaded for the successor).
   [[nodiscard]] std::uint64_t unlock_weight(TaskId task) const;
   /// Sum of unlock_weight over the available consumers of `data`.
-  [[nodiscard]] std::uint64_t successor_weight_of_data(DataId data) const;
+  [[nodiscard]] std::uint64_t successor_weight_of_data(DataId data);
   /// Tie-break over candidates_: unlock weight, then unprocessed consumers,
   /// then uniform random.
   [[nodiscard]] DataId choose_candidate_successor_aware();
   /// Fallback pop: the available task with the fewest absent inputs on
   /// `gpu`, breaking ties towards the highest unlock weight.
-  TaskId take_available_successor_aware(GpuId gpu, const MemoryView* memory);
-
-  // Incremental-mode maintenance.
-  TaskId pop_task_incremental(GpuId gpu);
-  TaskId plan_and_pop_incremental(GpuId gpu, DataId data);
-  /// The single absent input of `task` on `gpu` (incremental state).
-  [[nodiscard]] DataId sole_missing_input(GpuId gpu, TaskId task) const;
-  /// Adjusts n(D) when `task` enters/leaves the available pool.
-  void incremental_availability_change(TaskId task, int delta);
+  TaskId take_available_successor_aware(GpuId gpu);
 
   DartsOptions options_;
   std::string name_;
@@ -279,6 +293,15 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
   std::vector<std::uint32_t> available_pos_; ///< task -> index, or npos
   std::vector<PerGpu> per_gpu_;
   std::uint64_t use_clock_ = 0;
+
+  /// Per data: its live consumers (arrived and not done), in arrival order;
+  /// done tasks are dropped lazily by for_each_live_consumer. Streamed runs
+  /// walk only these, never the full consumer list of the union graph.
+  std::vector<std::vector<TaskId>> live_consumers_;
+  /// Per data: its live consumer count (the "unprocessed consumers"
+  /// tie-break of Algorithm 5). Unsubmitted tasks do not count: they would
+  /// leak knowledge of jobs that have not arrived yet into the tie-break.
+  std::vector<std::uint32_t> unprocessed_;
 
   /// Occupancy-sharing hints (armed by the first notify_occupancy; sharing
   /// off leaves pop order untouched).

@@ -43,9 +43,11 @@ std::unique_ptr<core::Scheduler> make_scheduler(const std::string& kind) {
   if (kind == "hfp") return std::make_unique<sched::HfpScheduler>();
   if (kind == "hmetis") return std::make_unique<sched::HmetisScheduler>();
   if (kind == "darts_luf") return std::make_unique<core::DartsScheduler>();
+  // DARTS's incremental counts, second order included: 3inputs reads the
+  // one-load-away buckets that plain DARTS+LUF never consults.
   if (kind == "darts_incr") {
     return std::make_unique<core::DartsScheduler>(
-        core::DartsOptions{.use_luf = true, .incremental = true});
+        core::DartsOptions{.use_luf = true, .three_inputs = true});
   }
   ADD_FAILURE() << "unknown scheduler " << kind;
   return nullptr;
