@@ -70,7 +70,7 @@ void JobTracker::on_event(const sim::InspectorEvent& event) {
     case sim::InspectorEventKind::kJobComplete:
       finish_us_[event.id] = event.time_us;
       --in_flight_;
-      counted_[event.id].clear();  // the job can never reuse again
+      counted_[event.id] = {};  // the job can never reuse again
       break;
     case sim::InspectorEventKind::kJobShed:
       shed_[event.id] = 1;
@@ -93,7 +93,10 @@ void JobTracker::on_event(const sim::InspectorEvent& event) {
         if (loaded_epoch_[event.gpu][data] >= job_epoch_[job]) continue;
         const std::uint64_t key =
             (static_cast<std::uint64_t>(event.gpu) << 32) | data;
-        if (counted_[job].insert(key).second) {
+        std::vector<std::uint64_t>& counted = counted_[job];
+        const auto at = std::lower_bound(counted.begin(), counted.end(), key);
+        if (at == counted.end() || *at != key) {
+          counted.insert(at, key);
           reuse_bytes_ += graph_->data_size(data);
           ++reuse_hits_;
         }

@@ -397,11 +397,7 @@ void RuntimeEngine::publish_slow(InspectorEventKind kind, GpuId gpu,
   event.bytes = bytes;
   event.channel = channel;
   event.aux = aux;
-  if (watchdog_log_) {
-    constexpr std::size_t kWatchdogTail = 32;
-    watchdog_recent_.push_back(format_inspector_event(event));
-    if (watchdog_recent_.size() > kWatchdogTail) watchdog_recent_.pop_front();
-  }
+  if (watchdog_log_) watchdog_recent_.push(event);
   for (Inspector* inspector : inspectors_) inspector->on_event(event);
 }
 
@@ -819,13 +815,9 @@ core::RunMetrics RuntimeEngine::run() {
         message += serving;
       }
       message += format_engine_state();
-      if (!watchdog_recent_.empty()) {
+      if (watchdog_recent_.size() > 0) {
         message += "recent events:\n";
-        for (const std::string& line : watchdog_recent_) {
-          message += "  ";
-          message += line;
-          message += '\n';
-        }
+        message += watchdog_recent_.render();
       }
       throw BudgetExceededError(message);
     }

@@ -696,10 +696,10 @@ class RuntimeEngine final : private MemoryManager::Observer,
   /// event from an earlier suspicion cannot escalate a healed node.
   std::vector<std::uint32_t> suspicion_epoch_;
 
-  /// Watchdog: when a budget is set, keep a short tail of formatted events
-  /// for the BudgetExceededError excerpt.
+  /// Watchdog: when a budget is set, keep the last 32 raw events for the
+  /// BudgetExceededError excerpt.
   bool watchdog_log_ = false;
-  std::deque<std::string> watchdog_recent_;
+  RecentEvents watchdog_recent_{32};
 
   // Dependency (DAG) state. All dormant — and cost-free on the hot paths —
   // when the graph carries no dependency edges.

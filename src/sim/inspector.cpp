@@ -100,6 +100,16 @@ std::string inspector_channel_name(std::uint32_t channel) {
   return "nvlink-gpu" + std::to_string(channel - kChannelNvlinkBase);
 }
 
+std::string RecentEvents::render() const {
+  std::string text;
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    text += "  ";
+    text += format_inspector_event(ring_[(oldest_ + i) % ring_.size()]);
+    text += '\n';
+  }
+  return text;
+}
+
 std::string format_inspector_event(const InspectorEvent& event) {
   // Tasks for task-flavoured kinds, data otherwise.
   const bool is_task = event.kind == InspectorEventKind::kTaskStart ||

@@ -18,9 +18,11 @@
 //     structured JSON run report and a Chrome-tracing timeline.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/ids.hpp"
 #include "core/platform.hpp"
@@ -214,6 +216,31 @@ struct InspectorEvent {
 
 /// One-line rendering used by diagnostics and the checker's log excerpt.
 [[nodiscard]] std::string format_inspector_event(const InspectorEvent& event);
+
+/// Flight recorder: the last `capacity` events, kept raw in a fixed ring and
+/// formatted only when a diagnostic is rendered (capacity 0 keeps nothing).
+class RecentEvents {
+ public:
+  explicit RecentEvents(std::size_t capacity = 0) : capacity_(capacity) {}
+
+  void push(const InspectorEvent& event) {
+    if (ring_.size() < capacity_) {
+      ring_.push_back(event);
+    } else if (capacity_ > 0) {
+      ring_[oldest_] = event;
+      if (++oldest_ == capacity_) oldest_ = 0;
+    }
+  }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+
+  /// One "  <format_inspector_event>\n" line per event, oldest first.
+  [[nodiscard]] std::string render() const;
+
+ private:
+  std::size_t capacity_;
+  std::vector<InspectorEvent> ring_;
+  std::size_t oldest_ = 0;  ///< once full: slot of the oldest event
+};
 
 class Inspector {
  public:

@@ -80,24 +80,9 @@ void InvariantChecker::on_run_begin(const core::TaskGraph& graph,
   occ_admitted_.clear();
   last_time_us_ = 0.0;
   events_ = 0;
-  recent_.clear();
+  recent_ = RecentEvents(options_.log_window);
   ok_ = true;
   report_ = Report{};
-}
-
-void InvariantChecker::remember(const InspectorEvent& event) {
-  recent_.push_back(format_inspector_event(event));
-  if (recent_.size() > options_.log_window) recent_.pop_front();
-}
-
-std::string InvariantChecker::render_excerpt() const {
-  std::string excerpt;
-  for (const std::string& line : recent_) {
-    excerpt += "  ";
-    excerpt += line;
-    excerpt += '\n';
-  }
-  return excerpt;
 }
 
 void InvariantChecker::fail_text(const std::string& message) {
@@ -105,7 +90,7 @@ void InvariantChecker::fail_text(const std::string& message) {
   ok_ = false;
   report_.ok = false;
   report_.error = message;
-  report_.excerpt = render_excerpt();
+  report_.excerpt = recent_.render();
   if (options_.fail_fast) {
     std::fprintf(stderr,
                  "InvariantChecker: %s\nlast %zu events before the "
@@ -126,7 +111,7 @@ void InvariantChecker::on_event(const InspectorEvent& event) {
     return fail_text("on_event before on_run_begin");
   }
   ++events_;
-  remember(event);
+  recent_.push(event);
 
   if (event.time_us + 1e-9 < last_time_us_) {
     return fail(event, "time went backwards");

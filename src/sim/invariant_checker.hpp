@@ -84,7 +84,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -157,8 +156,6 @@ class InvariantChecker final : public Inspector {
 
   void fail(const InspectorEvent& event, const char* what);
   void fail_text(const std::string& message);
-  void remember(const InspectorEvent& event);
-  [[nodiscard]] std::string render_excerpt() const;
 
   Options options_;
   const core::TaskGraph* graph_ = nullptr;
@@ -234,7 +231,8 @@ class InvariantChecker final : public Inspector {
   double last_time_us_ = 0.0;
   std::uint64_t events_ = 0;
 
-  std::deque<std::string> recent_;
+  /// Raw recent events, formatted only when a violation renders the excerpt.
+  RecentEvents recent_;
   bool ok_ = true;
   Report report_;
 };

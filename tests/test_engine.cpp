@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "analysis/validate.hpp"
@@ -296,6 +297,82 @@ TEST(Engine, EventBudgetExceededThrows) {
     EXPECT_NE(std::string(error.what()).find("budget exceeded"),
               std::string::npos);
   }
+}
+
+/// Records every published event.
+class EventLog final : public Inspector {
+ public:
+  void on_event(const InspectorEvent& event) override {
+    events.push_back(event);
+  }
+  std::vector<InspectorEvent> events;
+};
+
+// The tail is the last 32 published events, oldest first. Its bytes are
+// pinned: rendering at throw time must match formatting each event as it
+// was published.
+TEST(Engine, EventBudgetTailHoldsTheLast32EventsOldestFirst) {
+  core::TaskGraphBuilder builder;
+  const DataId d0 = builder.add_data(10);
+  const DataId d1 = builder.add_data(10);
+  for (int i = 0; i < 8; ++i) builder.add_task(5.0, {i % 2 == 0 ? d0 : d1});
+  const core::TaskGraph graph = builder.build();
+  sched::EagerScheduler scheduler;
+  EngineConfig config;
+  config.max_events = 12;
+  RuntimeEngine engine(graph, test_platform(1, 15), scheduler, config);
+  EventLog log;
+  engine.add_inspector(&log);
+  std::string what;
+  try {
+    (void)engine.run();
+    FAIL() << "expected BudgetExceededError";
+  } catch (const BudgetExceededError& error) {
+    what = error.what();
+  }
+  const std::string marker = "recent events:\n";
+  const std::size_t at = what.find(marker);
+  ASSERT_NE(at, std::string::npos) << what;
+  const std::string tail = what.substr(at + marker.size());
+  ASSERT_GT(log.events.size(), 32u);  // the ring has wrapped
+  std::string expected;
+  for (std::size_t i = log.events.size() - 32; i < log.events.size(); ++i) {
+    expected += "  " + format_inspector_event(log.events[i]) + "\n";
+  }
+  EXPECT_EQ(tail, expected);
+  EXPECT_EQ(tail,
+            "  t=45.000us gpu0 transfer-start d1 bytes=10 via host-bus\n"
+            "  t=45.000us gpu0 notify-complete T2\n"
+            "  t=55.000us gpu0 transfer-end d1 bytes=10 via host-bus\n"
+            "  t=55.000us gpu0 load d1 bytes=10\n"
+            "  t=55.000us gpu0 notify-loaded d1\n"
+            "  t=55.000us gpu0 task-start T3\n"
+            "  t=60.000us gpu0 task-end T3\n"
+            "  t=60.000us gpu0 evict d1 bytes=10 pins=0\n"
+            "  t=60.000us gpu0 notify-evicted d1\n"
+            "  t=60.000us gpu0 fetch-start d0 bytes=10 (demand)\n"
+            "  t=60.000us gpu0 transfer-start d0 bytes=10 via host-bus\n"
+            "  t=60.000us gpu0 notify-complete T3\n"
+            "  t=70.000us gpu0 transfer-end d0 bytes=10 via host-bus\n"
+            "  t=70.000us gpu0 load d0 bytes=10\n"
+            "  t=70.000us gpu0 notify-loaded d0\n"
+            "  t=70.000us gpu0 task-start T4\n"
+            "  t=75.000us gpu0 task-end T4\n"
+            "  t=75.000us gpu0 evict d0 bytes=10 pins=0\n"
+            "  t=75.000us gpu0 notify-evicted d0\n"
+            "  t=75.000us gpu0 fetch-start d1 bytes=10 (demand)\n"
+            "  t=75.000us gpu0 transfer-start d1 bytes=10 via host-bus\n"
+            "  t=75.000us gpu0 notify-complete T4\n"
+            "  t=85.000us gpu0 transfer-end d1 bytes=10 via host-bus\n"
+            "  t=85.000us gpu0 load d1 bytes=10\n"
+            "  t=85.000us gpu0 notify-loaded d1\n"
+            "  t=85.000us gpu0 task-start T5\n"
+            "  t=90.000us gpu0 task-end T5\n"
+            "  t=90.000us gpu0 evict d1 bytes=10 pins=0\n"
+            "  t=90.000us gpu0 notify-evicted d1\n"
+            "  t=90.000us gpu0 fetch-start d0 bytes=10 (demand)\n"
+            "  t=90.000us gpu0 transfer-start d0 bytes=10 via host-bus\n"
+            "  t=90.000us gpu0 notify-complete T5\n");
 }
 
 TEST(Engine, SimTimeBudgetExceededThrows) {

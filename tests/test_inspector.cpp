@@ -223,6 +223,50 @@ TEST(InvariantChecker, ExcerptHoldsTheEventsLeadingUpToTheViolation) {
   EXPECT_NE(report.excerpt.find("t=8.000us"), std::string::npos);
 }
 
+// The excerpt is the last `log_window` events, oldest first, one
+// "  <event>\n" line each. Its bytes are pinned: rendering at violation time
+// must match formatting each event as it arrived.
+TEST(InvariantChecker, ExcerptBytesArePinned) {
+  const core::TaskGraph graph = small_graph();
+  const core::Platform platform = small_platform();
+  std::vector<InspectorEvent> stream = valid_stream();
+  stream.push_back(make_event(7.0, InspectorEventKind::kEvict, 0, 1, 10));
+  stream.push_back(make_event(8.0, InspectorEventKind::kEvict, 0, 1, 10));
+
+  // 15 events through a window of 4: the ring has wrapped.
+  InvariantChecker::Options options = recording_options();
+  options.log_window = 4;
+  InvariantChecker wrapped(options);
+  wrapped.on_run_begin(graph, platform, "test");
+  for (const InspectorEvent& event : stream) wrapped.on_event(event);
+  EXPECT_EQ(wrapped.report().excerpt,
+            "  t=6.000us gpu0 task-end T1\n"
+            "  t=6.000us gpu0 notify-complete T1\n"
+            "  t=7.000us gpu0 evict d1 bytes=10 pins=0\n"
+            "  t=8.000us gpu0 evict d1 bytes=10 pins=0\n");
+
+  options.log_window = 0;
+  InvariantChecker silent(options);
+  silent.on_run_begin(graph, platform, "test");
+  for (const InspectorEvent& event : stream) silent.on_event(event);
+  EXPECT_FALSE(silent.ok());
+  EXPECT_FALSE(silent.report().error.empty());
+  EXPECT_EQ(silent.report().excerpt, "");
+
+  // A second run starts with an empty window.
+  InvariantChecker rerun(recording_options());
+  rerun.on_run_begin(graph, platform, "test");
+  for (const InspectorEvent& event : valid_stream()) rerun.on_event(event);
+  rerun.on_run_begin(graph, platform, "test");
+  rerun.on_event(make_event(0.0, InspectorEventKind::kFetchStart, 0, 0, 10,
+                            sim::kNoChannel, 1));
+  rerun.on_event(make_event(0.5, InspectorEventKind::kEvict, 0, 1, 10));
+  EXPECT_FALSE(rerun.ok());
+  EXPECT_EQ(rerun.report().excerpt,
+            "  t=0.000us gpu0 fetch-start d0 bytes=10 (demand)\n"
+            "  t=0.500us gpu0 evict d1 bytes=10 pins=0\n");
+}
+
 TEST(InvariantChecker, FirstViolationWins) {
   const core::TaskGraph graph = small_graph();
   const core::Platform platform = small_platform();

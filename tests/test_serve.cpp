@@ -1,7 +1,8 @@
 // Serving subsystem tests: union-graph construction (namespacing, data
 // sharing vs. the no-share ablation), arrival processes, admission control,
 // the streamed serving loop under every scheduler (with the online
-// InvariantChecker), deadline scoring, cross-job reuse measurement,
+// InvariantChecker), deadline scoring, cross-job reuse measurement (a
+// hand-fed JobTracker and pinned figures of seeded runs),
 // bit-identical run reports (including checkpointed permanent-GPU-loss
 // runs), watchdog diagnostics that name the in-flight job count, and
 // fault-plan composition with adoption attribution.
@@ -21,6 +22,7 @@
 #include "sched/hfp.hpp"
 #include "serve/admission.hpp"
 #include "serve/arrival.hpp"
+#include "serve/job_tracker.hpp"
 #include "serve/union_graph.hpp"
 #include "sim/errors.hpp"
 #include "sim/fault_injector.hpp"
@@ -280,6 +282,88 @@ TEST(ServeEngine, CrossJobReuseRequiresSharing) {
   EXPECT_EQ(ablated.serving.cross_job_reuse_bytes, 0u);
   // Same work without sharing must pay for more host-bus loads.
   EXPECT_GT(ablated.metrics.total_loads(), shared.metrics.total_loads());
+}
+
+// Hand-built stream over a union graph of four jobs sharing d0 (10 bytes)
+// and d1 (20 bytes); task t belongs to job t / 2.
+TEST(JobTracker, CountsReuseOncePerJobDataAndGpu) {
+  core::TaskGraphBuilder builder;
+  const DataId d0 = builder.add_data(10);
+  const DataId d1 = builder.add_data(20);
+  for (int job = 0; job < 4; ++job) {
+    builder.add_task(1.0, {d0, d1});
+    builder.add_task(1.0, {d0});
+  }
+  const core::TaskGraph graph = builder.build();
+  const std::vector<std::uint32_t> task_job = {0, 0, 1, 1, 2, 2, 3, 3};
+  JobTracker tracker;
+  tracker.bind(task_job, 4);
+  tracker.on_run_begin(graph, test_platform(2, 100), "test");
+  auto event = [&](sim::InspectorEventKind kind, core::GpuId gpu,
+                   std::uint32_t id) {
+    sim::InspectorEvent e;
+    e.kind = kind;
+    e.gpu = gpu;
+    e.id = id;
+    tracker.on_event(e);
+  };
+  using Kind = sim::InspectorEventKind;
+  event(Kind::kJobArrival, 0, 0);
+  event(Kind::kLoadComplete, 0, d0);
+  event(Kind::kLoadComplete, 0, d1);
+  event(Kind::kTaskStart, 0, 0);  // job 0 loaded its own data: no reuse
+  event(Kind::kJobArrival, 0, 1);
+  event(Kind::kJobArrival, 0, 2);
+  // Jobs 1 and 2 interleave on (gpu0, d0) and (gpu0, d1).
+  event(Kind::kTaskStart, 0, 2);  // job 1: d0 + d1
+  event(Kind::kTaskStart, 0, 4);  // job 2: d0 + d1
+  event(Kind::kTaskStart, 0, 3);  // job 1: d0 again, counted once
+  event(Kind::kTaskStart, 0, 2);  // job 1 restarts the same task
+  event(Kind::kTaskStart, 0, 5);  // job 2: d0 again
+  EXPECT_EQ(tracker.cross_job_reuse_hits(), 4u);
+  EXPECT_EQ(tracker.cross_job_reuse_bytes(), 60u);
+  // A load made after job 2 arrived is not reuse for it, on either GPU.
+  event(Kind::kLoadComplete, 1, d0);
+  event(Kind::kTaskStart, 1, 4);
+  EXPECT_EQ(tracker.cross_job_reuse_hits(), 4u);
+  // Job 1 completes; job 3 arrives later and still counts, per GPU.
+  event(Kind::kJobComplete, 0, 1);
+  event(Kind::kJobArrival, 0, 3);
+  event(Kind::kTaskStart, 0, 6);  // gpu0: d0 + d1
+  event(Kind::kTaskStart, 1, 7);  // gpu1: d0
+  event(Kind::kTaskStart, 1, 7);
+  EXPECT_EQ(tracker.cross_job_reuse_hits(), 7u);
+  EXPECT_EQ(tracker.cross_job_reuse_bytes(), 100u);
+}
+
+// Exact reuse figures of one seeded streamed run per scheduler: any change
+// to the per-job reuse bookkeeping must count the same (job, data, GPU)
+// pairs.
+TEST(ServeEngine, CrossJobReuseFiguresArePinned) {
+  struct Pin {
+    std::string scheduler;
+    std::uint64_t hits;
+    std::uint64_t bytes;
+  };
+  const std::vector<Pin> pins = {{"EAGER", 243, 2430},
+                                 {"DMDAR", 304, 3040},
+                                 {"DARTS+LUF", 239, 2390},
+                                 {"mHFP", 247, 2470}};
+  for (const Pin& pin : pins) {
+    ServeConfig config;
+    config.arrival.mode = ArrivalMode::kPoisson;
+    config.arrival.rate_jobs_per_s = 2e4;
+    config.arrival.seed = 7;
+    std::unique_ptr<core::Scheduler> scheduler;
+    for (const auto& [name, factory] : schedulers()) {
+      if (name == pin.scheduler) scheduler = factory();
+    }
+    ASSERT_NE(scheduler, nullptr) << pin.scheduler;
+    const ServeResult result = stream_jobs(*scheduler, config, 40);
+    EXPECT_EQ(result.serving.cross_job_reuse_hits, pin.hits) << pin.scheduler;
+    EXPECT_EQ(result.serving.cross_job_reuse_bytes, pin.bytes)
+        << pin.scheduler;
+  }
 }
 
 TEST(ServeEngine, DeadlinesScoreAgainstSubmissionTime) {
