@@ -47,13 +47,13 @@ bool export_chrome_trace(const core::TaskGraph& graph,
 
   // Task slices need start+end pairing; track the open start per GPU.
   std::vector<double> open_start(platform.num_gpus, 0.0);
-  for (const sim::TraceEvent& event : trace.events) {
+  for (const sim::InspectorEvent& event : trace.events) {
     char line[320];
     switch (event.kind) {
-      case sim::TraceKind::kTaskStart:
+      case sim::InspectorEventKind::kTaskStart:
         open_start[event.gpu] = event.time_us;
         break;
-      case sim::TraceKind::kTaskEnd: {
+      case sim::InspectorEventKind::kTaskEnd: {
         const std::string& label = graph.task_label(event.id);
         std::snprintf(line, sizeof line,
                       "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%u,"
@@ -65,14 +65,12 @@ bool export_chrome_trace(const core::TaskGraph& graph,
         emit(line);
         break;
       }
-      case sim::TraceKind::kLoad:
-      case sim::TraceKind::kPeerLoad:
-      case sim::TraceKind::kEvict: {
-        const char* kind = event.kind == sim::TraceKind::kEvict
-                               ? "evict"
-                               : (event.kind == sim::TraceKind::kPeerLoad
-                                      ? "peer-load"
-                                      : "load");
+      case sim::InspectorEventKind::kLoadComplete:
+      case sim::InspectorEventKind::kEvict: {
+        const char* kind =
+            event.kind == sim::InspectorEventKind::kEvict
+                ? "evict"
+                : (event.aux != 0 ? "peer-load" : "load");
         std::snprintf(line, sizeof line,
                       "{\"name\":\"%s d%u\",\"ph\":\"i\",\"pid\":0,"
                       "\"tid\":%u,\"ts\":%.3f,\"s\":\"t\"}",
@@ -80,7 +78,7 @@ bool export_chrome_trace(const core::TaskGraph& graph,
         emit(line);
         break;
       }
-      case sim::TraceKind::kWriteBack: {
+      case sim::InspectorEventKind::kWriteBackEnd: {
         std::snprintf(line, sizeof line,
                       "{\"name\":\"writeback t%u\",\"ph\":\"i\",\"pid\":0,"
                       "\"tid\":%u,\"ts\":%.3f,\"s\":\"t\"}",
@@ -88,6 +86,8 @@ bool export_chrome_trace(const core::TaskGraph& graph,
         emit(line);
         break;
       }
+      default:
+        break;
     }
   }
   std::fputs("\n]}\n", file);
@@ -97,19 +97,14 @@ bool export_chrome_trace(const core::TaskGraph& graph,
 }
 
 ReuseStats compute_reuse_stats(const core::TaskGraph& graph,
-                               const core::Platform& platform,
                                const sim::Trace& trace) {
-  (void)platform;
   ReuseStats stats;
   // loads per (gpu, data); also per data across gpus for most_reloaded.
   std::map<std::pair<core::GpuId, core::DataId>, std::uint64_t> per_pair;
   std::vector<std::uint64_t> per_data(graph.num_data(), 0);
 
-  for (const sim::TraceEvent& event : trace.events) {
-    if (event.kind != sim::TraceKind::kLoad &&
-        event.kind != sim::TraceKind::kPeerLoad) {
-      continue;
-    }
+  for (const sim::InspectorEvent& event : trace.events) {
+    if (event.kind != sim::InspectorEventKind::kLoadComplete) continue;
     ++stats.total_loads;
     ++per_pair[{event.gpu, event.id}];
     ++per_data[event.id];

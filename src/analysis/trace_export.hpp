@@ -38,7 +38,6 @@ struct ReuseStats {
 };
 
 ReuseStats compute_reuse_stats(const core::TaskGraph& graph,
-                               const core::Platform& platform,
                                const sim::Trace& trace);
 
 }  // namespace mg::analysis

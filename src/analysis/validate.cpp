@@ -5,52 +5,18 @@
 
 namespace mg::analysis {
 
-namespace {
-
-/// A bare trace only records load/evict/start/end/write-back, so the replay
-/// feeds the checker the subset of the inspector event stream those map to;
-/// Options::online = false relaxes the fetch/notify checks accordingly. The
-/// invariants themselves (residency at start, memory bound, exactly-once,
-/// one task per GPU, monotone time) live in sim::InvariantChecker only.
-sim::InspectorEvent to_inspector_event(const sim::TraceEvent& event) {
-  sim::InspectorEvent out;
-  out.time_us = event.time_us;
-  out.gpu = event.gpu;
-  out.id = event.id;
-  switch (event.kind) {
-    case sim::TraceKind::kLoad:
-      out.kind = sim::InspectorEventKind::kLoadComplete;
-      break;
-    case sim::TraceKind::kPeerLoad:
-      out.kind = sim::InspectorEventKind::kLoadComplete;
-      out.aux = 1;
-      break;
-    case sim::TraceKind::kEvict:
-      out.kind = sim::InspectorEventKind::kEvict;
-      break;
-    case sim::TraceKind::kTaskStart:
-      out.kind = sim::InspectorEventKind::kTaskStart;
-      break;
-    case sim::TraceKind::kTaskEnd:
-      out.kind = sim::InspectorEventKind::kTaskEnd;
-      break;
-    case sim::TraceKind::kWriteBack:
-      out.kind = sim::InspectorEventKind::kWriteBackEnd;
-      break;
-  }
-  return out;
-}
-
-}  // namespace
-
+// A trace only records load/evict/start/end/write-back, so
+// Options::online = false relaxes the fetch/notify checks accordingly. The
+// invariants themselves (residency at start, memory bound, exactly-once,
+// one task per GPU, monotone time) live in sim::InvariantChecker only.
 ValidationResult validate_trace(const core::TaskGraph& graph,
                                 const core::Platform& platform,
                                 const sim::Trace& trace) {
   sim::InvariantChecker checker(
       {.fail_fast = false, .online = false, .log_window = 24});
   checker.on_run_begin(graph, platform, "replay");
-  for (const sim::TraceEvent& event : trace.events) {
-    checker.on_event(to_inspector_event(event));
+  for (const sim::InspectorEvent& event : trace.events) {
+    checker.on_event(event);
     if (!checker.ok()) break;
   }
   checker.finish();

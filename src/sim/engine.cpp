@@ -327,10 +327,6 @@ void RuntimeEngine::complete_rider(GpuId gpu, TaskId rider) {
   }
   publish(InspectorEventKind::kTaskStart, gpu, rider);
   publish(InspectorEventKind::kTaskEnd, gpu, rider);
-  if (config_.record_trace) {
-    trace_.events.push_back({events_.now(), TraceKind::kTaskStart, gpu, rider});
-    trace_.events.push_back({events_.now(), TraceKind::kTaskEnd, gpu, rider});
-  }
   if (replication_active_) {
     for (DataId data : graph_.inputs(rider)) {
       MG_DCHECK(remaining_uses_[data] > 0);
@@ -1025,10 +1021,6 @@ void RuntimeEngine::start_task(GpuId gpu, TaskId task) {
               static_cast<std::uint64_t>(base_duration), kNoChannel,
               static_cast<std::uint32_t>(fused_riders_[task].size()));
     }
-    if (config_.record_trace) {
-      trace_.events.push_back(
-          {events_.now(), TraceKind::kTaskStart, gpu, task});
-    }
     occ_reschedule(gpu);
     if (!state.buffer.empty()) begin_assembly(gpu);
     fill_buffer(gpu);
@@ -1040,10 +1032,6 @@ void RuntimeEngine::start_task(GpuId gpu, TaskId task) {
     publish(InspectorEventKind::kSuperTaskLaunched, gpu, task,
             static_cast<std::uint64_t>(base_duration), kNoChannel,
             static_cast<std::uint32_t>(fused_riders_[task].size()));
-  }
-  if (config_.record_trace) {
-    trace_.events.push_back(
-        {events_.now(), TraceKind::kTaskStart, gpu, task});
   }
   double duration = base_duration;
   if (checkpointing_enabled() && base_duration > 0.0) {
@@ -1181,9 +1169,6 @@ void RuntimeEngine::complete_task(GpuId gpu, TaskId task) {
   ++completed_;
   last_completion_us_ = events_.now();
   publish(InspectorEventKind::kTaskEnd, gpu, task);
-  if (config_.record_trace) {
-    trace_.events.push_back({events_.now(), TraceKind::kTaskEnd, gpu, task});
-  }
   if (!orphan_lost_at_us_.empty() && orphan_lost_at_us_[task] >= 0.0) {
     // An orphan finished its re-run on a survivor: the recovery latency is
     // the span from the loss that reclaimed it to this completion.
@@ -1234,12 +1219,10 @@ void RuntimeEngine::complete_task(GpuId gpu, TaskId task) {
       }
       wb_state.bytes_written_back += output_bytes;
       publish(InspectorEventKind::kWriteBackEnd, gpu, task, output_bytes);
-      if (config_.record_trace) {
-        trace_.events.push_back(
-            {events_.now(), TraceKind::kWriteBack, gpu, task});
-      }
-      wb_state.memory->release_scratch(output_bytes);
+      // Publish before releasing: the release retries stalled fetches at
+      // once, and their kFetchStart must follow the freed scratch.
       publish(InspectorEventKind::kScratchRelease, gpu, task, output_bytes);
+      wb_state.memory->release_scratch(output_bytes);
       if (topology_active_ && !wb_state.active) {
         // The last write-back of a draining node may complete its drain.
         maybe_finish_drain(platform_.node_of(gpu));
@@ -1407,9 +1390,9 @@ void RuntimeEngine::eject_revoked(GpuId lost_gpu, TaskId task) {
       state.assembly_active = false;
       if (state.scratch_reserved) {
         const std::uint64_t output_bytes = graph_.task_output_bytes(task);
+        publish(InspectorEventKind::kScratchRelease, gpu, task, output_bytes);
         state.memory->release_scratch(output_bytes);
         state.scratch_reserved = false;
-        publish(InspectorEventKind::kScratchRelease, gpu, task, output_bytes);
       }
       if (!state.buffer.empty()) begin_assembly(gpu);
     }
@@ -1467,11 +1450,6 @@ void RuntimeEngine::on_data_loaded(GpuId gpu, DataId data) {
   }
   publish(InspectorEventKind::kLoadComplete, gpu, data,
           graph_.data_size(data), kNoChannel, from_peer ? 1 : 0);
-  if (config_.record_trace) {
-    trace_.events.push_back(
-        {events_.now(), from_peer ? TraceKind::kPeerLoad : TraceKind::kLoad,
-         gpu, data});
-  }
   scheduler_.notify_data_loaded(gpu, data);
   publish(InspectorEventKind::kNotifyDataLoaded, gpu, data);
   // If the landed data is an input of the task being assembled, pin it so a
@@ -1500,9 +1478,6 @@ void RuntimeEngine::on_data_evicted(GpuId gpu, DataId data) {
   ++state.evictions;
   publish(InspectorEventKind::kEvict, gpu, data, graph_.data_size(data),
           kNoChannel, state.memory->pin_count(data));
-  if (config_.record_trace) {
-    trace_.events.push_back({events_.now(), TraceKind::kEvict, gpu, data});
-  }
   scheduler_.notify_data_evicted(gpu, data);
   publish(InspectorEventKind::kNotifyDataEvicted, gpu, data);
   // The freed space may admit the next push-time prefetch hint — but this
@@ -1896,10 +1871,10 @@ void RuntimeEngine::begin_node_drain(core::NodeId node) {
       if (state.scratch_reserved) {
         const std::uint64_t output_bytes =
             graph_.task_output_bytes(state.buffer.front());
-        state.memory->release_scratch(output_bytes);
-        state.scratch_reserved = false;
         publish(InspectorEventKind::kScratchRelease, gpu, state.buffer.front(),
                 output_bytes);
+        state.memory->release_scratch(output_bytes);
+        state.scratch_reserved = false;
       }
     }
     for (TaskId task : state.buffer) pulled.emplace_back(gpu, task);

@@ -38,7 +38,6 @@
 #include "sim/inspector.hpp"
 #include "sim/lru_eviction.hpp"
 #include "sim/memory_manager.hpp"
-#include "sim/trace.hpp"
 
 namespace mg::sim {
 
@@ -55,9 +54,6 @@ struct EngineConfig {
   /// this on reproduces the paper's DMDAR prefetch/eviction conflict in
   /// full strength (see abl_push_prefetch).
   bool hints_may_evict = false;
-
-  /// Record a Trace of loads/evictions/task starts/ends.
-  bool record_trace = false;
 
   /// Seed forwarded to Scheduler::prepare.
   std::uint64_t seed = 42;
@@ -220,8 +216,6 @@ class RuntimeEngine final : private MemoryManager::Observer,
   [[nodiscard]] std::uint32_t jobs_in_flight() const {
     return jobs_released_ - jobs_retired_;
   }
-
-  [[nodiscard]] const Trace& trace() const { return trace_; }
 
   [[nodiscard]] const core::Platform& platform() const { return platform_; }
 
@@ -562,7 +556,6 @@ class RuntimeEngine final : private MemoryManager::Observer,
   double last_completion_us_ = 0.0;
   double pop_wall_us_ = 0.0;
   double prepare_wall_us_ = 0.0;
-  Trace trace_;
   std::vector<Inspector*> inspectors_;
   bool ran_ = false;
 

@@ -512,6 +512,7 @@ void RunReportCollector::on_eviction_policy(core::GpuId gpu,
 }
 
 void RunReportCollector::on_event(const InspectorEvent& event) {
+  if (options_.collect_trace) trace_.on_event(event);
   RunReport::Gpu& gpu = report_.per_gpu[event.gpu];
   GpuScratch& scratch = gpu_scratch_[event.gpu];
   switch (event.kind) {
@@ -535,20 +536,10 @@ void RunReportCollector::on_event(const InspectorEvent& event) {
         }
       }
       gpu.bytes_loaded += graph_->data_size(event.id);
-      if (options_.collect_trace) {
-        trace_.events.push_back({event.time_us,
-                                 event.aux != 0 ? TraceKind::kPeerLoad
-                                                : TraceKind::kLoad,
-                                 event.gpu, event.id});
-      }
       break;
     case InspectorEventKind::kEvict:
       ++gpu.evictions;
       scratch.committed -= graph_->data_size(event.id);
-      if (options_.collect_trace) {
-        trace_.events.push_back(
-            {event.time_us, TraceKind::kEvict, event.gpu, event.id});
-      }
       break;
     case InspectorEventKind::kScratchReserve:
       scratch.committed += event.bytes;
@@ -575,19 +566,10 @@ void RunReportCollector::on_event(const InspectorEvent& event) {
       break;
     }
     case InspectorEventKind::kWriteBackStart:
-      break;
     case InspectorEventKind::kWriteBackEnd:
-      if (options_.collect_trace) {
-        trace_.events.push_back(
-            {event.time_us, TraceKind::kWriteBack, event.gpu, event.id});
-      }
       break;
     case InspectorEventKind::kTaskStart: {
       scratch.task_open_us = event.time_us;
-      if (options_.collect_trace) {
-        trace_.events.push_back(
-            {event.time_us, TraceKind::kTaskStart, event.gpu, event.id});
-      }
       // A reclaimed task starting again closes its adoption attribution:
       // `event.gpu` is the survivor that absorbed it.
       auto adoption = pending_adoptions_.find(event.id);
@@ -620,10 +602,6 @@ void RunReportCollector::on_event(const InspectorEvent& event) {
         }
       } else {
         gpu.busy_us += event.time_us - scratch.task_open_us;
-      }
-      if (options_.collect_trace) {
-        trace_.events.push_back(
-            {event.time_us, TraceKind::kTaskEnd, event.gpu, event.id});
       }
       // A finished task closes any recovery still waiting on it.
       for (std::size_t i = 0; i < pending_recoveries_.size();) {

@@ -8,8 +8,8 @@
 // policy driving each GPU, demand-vs-prefetch load counts, and — when a
 // fault plan is active — fault/recovery statistics (GPU losses, capacity
 // shocks, reclaimed tasks, transfer retries, recovery latencies). It also
-// mirrors the engine's execution Trace so a Chrome-tracing timeline can be
-// exported without separately enabling EngineConfig::record_trace.
+// records the run's execution Trace (sim/trace.hpp) from the same stream,
+// so a Chrome-tracing timeline can be exported without attaching one.
 //
 // The report serializes to JSON (schema documented in
 // docs/OBSERVABILITY.md, schema_version 6); bench/figure_harness exposes it
@@ -373,7 +373,7 @@ class RunReportCollector final : public Inspector {
   struct Options {
     std::string context;          ///< copied into RunReport::context
     std::uint32_t occupancy_buckets = 32;
-    bool collect_trace = true;    ///< mirror a sim::Trace for Chrome export
+    bool collect_trace = true;    ///< record a sim::Trace for Chrome export
   };
 
   RunReportCollector();
@@ -393,7 +393,7 @@ class RunReportCollector final : public Inspector {
   /// Valid after on_run_end.
   [[nodiscard]] const RunReport& report() const { return report_; }
 
-  /// Mirrored execution trace (empty when collect_trace is off); feed to
+  /// Recorded execution trace (empty when collect_trace is off); feed to
   /// analysis::export_chrome_trace for the chrome://tracing timeline.
   [[nodiscard]] const Trace& trace() const { return trace_; }
 

@@ -14,8 +14,8 @@ namespace {
 using core::DataId;
 using core::TaskId;
 using sim::Trace;
-using sim::TraceEvent;
-using sim::TraceKind;
+using sim::InspectorEvent;
+using sim::InspectorEventKind;
 
 /// d0, d1 of 10 bytes; t0{d0}, t1{d0,d1}.
 core::TaskGraph small_graph() {
@@ -37,12 +37,12 @@ core::Platform small_platform(std::uint64_t memory = 100) {
 Trace valid_trace() {
   Trace trace;
   trace.events = {
-      {1.0, TraceKind::kLoad, 0, 0},       // d0
-      {2.0, TraceKind::kTaskStart, 0, 0},  // t0
-      {3.0, TraceKind::kTaskEnd, 0, 0},
-      {4.0, TraceKind::kLoad, 0, 1},       // d1
-      {5.0, TraceKind::kTaskStart, 0, 1},  // t1
-      {6.0, TraceKind::kTaskEnd, 0, 1},
+      {1.0, InspectorEventKind::kLoadComplete, 0, 0},  // d0
+      {2.0, InspectorEventKind::kTaskStart, 0, 0},  // t0
+      {3.0, InspectorEventKind::kTaskEnd, 0, 0},
+      {4.0, InspectorEventKind::kLoadComplete, 0, 1},  // d1
+      {5.0, InspectorEventKind::kTaskStart, 0, 1},  // t1
+      {6.0, InspectorEventKind::kTaskEnd, 0, 1},
   };
   return trace;
 }
@@ -55,8 +55,9 @@ TEST(Validator, AcceptsAValidTrace) {
 
 TEST(Validator, RejectsDoubleLoad) {
   Trace trace = valid_trace();
-  trace.events.insert(trace.events.begin() + 1,
-                      TraceEvent{1.5, TraceKind::kLoad, 0, 0});
+  trace.events.insert(
+      trace.events.begin() + 1,
+      InspectorEvent{1.5, InspectorEventKind::kLoadComplete, 0, 0});
   const auto result =
       validate_trace(small_graph(), small_platform(), trace);
   EXPECT_FALSE(result.ok);
@@ -65,8 +66,8 @@ TEST(Validator, RejectsDoubleLoad) {
 
 TEST(Validator, RejectsEvictionOfAbsentData) {
   Trace trace = valid_trace();
-  trace.events.push_back({7.0, TraceKind::kEvict, 0, 1});
-  trace.events.push_back({8.0, TraceKind::kEvict, 0, 1});
+  trace.events.push_back({7.0, InspectorEventKind::kEvict, 0, 1});
+  trace.events.push_back({8.0, InspectorEventKind::kEvict, 0, 1});
   const auto result =
       validate_trace(small_graph(), small_platform(), trace);
   EXPECT_FALSE(result.ok);
@@ -76,8 +77,8 @@ TEST(Validator, RejectsEvictionOfAbsentData) {
 TEST(Validator, RejectsStartWithMissingInput) {
   Trace trace;
   trace.events = {
-      {1.0, TraceKind::kLoad, 0, 0},
-      {2.0, TraceKind::kTaskStart, 0, 1},  // t1 needs d1 too
+      {1.0, InspectorEventKind::kLoadComplete, 0, 0},
+      {2.0, InspectorEventKind::kTaskStart, 0, 1},  // t1 needs d1 too
   };
   const auto result =
       validate_trace(small_graph(), small_platform(), trace);
@@ -88,10 +89,10 @@ TEST(Validator, RejectsStartWithMissingInput) {
 TEST(Validator, RejectsOverlappingTasksOnOneGpu) {
   Trace trace;
   trace.events = {
-      {1.0, TraceKind::kLoad, 0, 0},
-      {2.0, TraceKind::kLoad, 0, 1},
-      {3.0, TraceKind::kTaskStart, 0, 0},
-      {4.0, TraceKind::kTaskStart, 0, 1},  // t0 still running
+      {1.0, InspectorEventKind::kLoadComplete, 0, 0},
+      {2.0, InspectorEventKind::kLoadComplete, 0, 1},
+      {3.0, InspectorEventKind::kTaskStart, 0, 0},
+      {4.0, InspectorEventKind::kTaskStart, 0, 1},  // t0 still running
   };
   const auto result =
       validate_trace(small_graph(), small_platform(), trace);
@@ -101,7 +102,7 @@ TEST(Validator, RejectsOverlappingTasksOnOneGpu) {
 
 TEST(Validator, RejectsEndOfTaskNotRunning) {
   Trace trace;
-  trace.events = {{1.0, TraceKind::kTaskEnd, 0, 0}};
+  trace.events = {{1.0, InspectorEventKind::kTaskEnd, 0, 0}};
   const auto result =
       validate_trace(small_graph(), small_platform(), trace);
   EXPECT_FALSE(result.ok);
@@ -136,7 +137,7 @@ TEST(Validator, RejectsTimeGoingBackwards) {
 
 TEST(Validator, RejectsUnknownGpu) {
   Trace trace;
-  trace.events = {{1.0, TraceKind::kLoad, 7, 0}};
+  trace.events = {{1.0, InspectorEventKind::kLoadComplete, 7, 0}};
   const auto result =
       validate_trace(small_graph(), small_platform(), trace);
   EXPECT_FALSE(result.ok);
@@ -145,7 +146,7 @@ TEST(Validator, RejectsUnknownGpu) {
 
 TEST(Validator, PeerLoadAddsResidency) {
   Trace trace = valid_trace();
-  trace.events[3].kind = TraceKind::kPeerLoad;  // d1 arrives via NVLink
+  trace.events[3].aux = 1;  // d1 arrives via NVLink
   const auto result =
       validate_trace(small_graph(), small_platform(), trace);
   EXPECT_TRUE(result.ok) << result.error;
@@ -153,7 +154,7 @@ TEST(Validator, PeerLoadAddsResidency) {
 
 TEST(Validator, WriteBackEventsAreNeutral) {
   Trace trace = valid_trace();
-  trace.events.push_back({7.0, TraceKind::kWriteBack, 0, 1});
+  trace.events.push_back({7.0, InspectorEventKind::kWriteBackEnd, 0, 1});
   const auto result =
       validate_trace(small_graph(), small_platform(), trace);
   EXPECT_TRUE(result.ok) << result.error;
@@ -162,10 +163,10 @@ TEST(Validator, WriteBackEventsAreNeutral) {
 TEST(TraceHelpers, ExecutionOrderFiltersByGpu) {
   Trace trace;
   trace.events = {
-      {1.0, TraceKind::kTaskStart, 0, 5},
-      {2.0, TraceKind::kTaskStart, 1, 7},
-      {3.0, TraceKind::kTaskEnd, 0, 5},
-      {4.0, TraceKind::kTaskStart, 0, 6},
+      {1.0, InspectorEventKind::kTaskStart, 0, 5},
+      {2.0, InspectorEventKind::kTaskStart, 1, 7},
+      {3.0, InspectorEventKind::kTaskEnd, 0, 5},
+      {4.0, InspectorEventKind::kTaskStart, 0, 6},
   };
   EXPECT_EQ(trace.execution_order(0), (std::vector<TaskId>{5, 6}));
   EXPECT_EQ(trace.execution_order(1), (std::vector<TaskId>{7}));

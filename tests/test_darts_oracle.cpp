@@ -27,6 +27,7 @@
 #include "core/task_graph.hpp"
 #include "serve/serve_engine.hpp"
 #include "sim/engine.hpp"
+#include "sim/trace.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/invariant_checker.hpp"
@@ -657,12 +658,13 @@ TEST_P(IncrementalEndToEnd, RunsCompleteAndStayClose) {
 
   DartsScheduler darts{DartsOptions{.use_luf = true}};
   sim::EngineConfig config;
-  config.record_trace = true;
   config.seed = 11;
   sim::RuntimeEngine engine(graph, platform, darts, config);
+  sim::Trace trace;
+  engine.add_inspector(&trace);
   const RunMetrics metrics = engine.run();
   const auto validation =
-      analysis::validate_trace(graph, platform, engine.trace());
+      analysis::validate_trace(graph, platform, trace);
   EXPECT_TRUE(validation.ok) << validation.error;
   std::uint64_t executed = 0;
   for (const auto& gpu : metrics.per_gpu) executed += gpu.tasks_executed;

@@ -9,6 +9,7 @@
 #include "core/task_graph.hpp"
 #include "sched/eager.hpp"
 #include "sched/fixed_order.hpp"
+#include "sim/trace.hpp"
 #include "workloads/matmul2d.hpp"
 
 namespace mg::sim {
@@ -110,10 +111,10 @@ TEST(Engine, EvictionHappensUnderMemoryPressure) {
   const core::TaskGraph graph = builder.build();
 
   sched::FixedOrderScheduler scheduler({{0, 1, 2}});
-  EngineConfig config;
-  config.record_trace = true;
   const core::Platform platform = test_platform(1, 20);  // 2 data fit
-  RuntimeEngine engine(graph, platform, scheduler, config);
+  RuntimeEngine engine(graph, platform, scheduler);
+  Trace trace;
+  engine.add_inspector(&trace);
   const core::RunMetrics metrics = engine.run();
 
   // a is always the most recently used; b, c are evicted in turn.
@@ -121,7 +122,7 @@ TEST(Engine, EvictionHappensUnderMemoryPressure) {
   EXPECT_EQ(metrics.total_evictions(), 2u);
 
   const auto validation =
-      analysis::validate_trace(graph, platform, engine.trace());
+      analysis::validate_trace(graph, platform, trace);
   EXPECT_TRUE(validation.ok) << validation.error;
 }
 
@@ -134,13 +135,12 @@ TEST(Engine, TraceRecordsExecutionOrder) {
   const core::TaskGraph graph = builder.build();
 
   sched::FixedOrderScheduler scheduler({{2, 0, 1}});
-  EngineConfig config;
-  config.record_trace = true;
-  RuntimeEngine engine(graph, test_platform(1, 100), scheduler, config);
+  RuntimeEngine engine(graph, test_platform(1, 100), scheduler);
+  Trace trace;
+  engine.add_inspector(&trace);
   (void)engine.run();
 
-  EXPECT_EQ(engine.trace().execution_order(0),
-            (std::vector<TaskId>{2, 0, 1}));
+  EXPECT_EQ(trace.execution_order(0), (std::vector<TaskId>{2, 0, 1}));
 }
 
 TEST(Engine, PipelineDepthOneStillCompletes) {

@@ -17,6 +17,7 @@
 #include "sched/hfp.hpp"
 #include "sched/hmetis_r.hpp"
 #include "sim/engine.hpp"
+#include "sim/trace.hpp"
 #include "workloads/matmul2d.hpp"
 
 namespace mg {
@@ -144,9 +145,9 @@ TEST_P(HeteroEndToEnd, FasterGpuDoesMoreWork) {
     default: scheduler = std::make_unique<sched::HmetisScheduler>(); break;
   }
 
-  sim::EngineConfig config;
-  config.record_trace = true;
-  sim::RuntimeEngine engine(graph, platform, *scheduler, config);
+  sim::RuntimeEngine engine(graph, platform, *scheduler);
+  sim::Trace trace;
+  engine.add_inspector(&trace);
   const core::RunMetrics metrics = engine.run();
 
   EXPECT_EQ(metrics.per_gpu[0].tasks_executed +
@@ -157,7 +158,7 @@ TEST_P(HeteroEndToEnd, FasterGpuDoesMoreWork) {
   EXPECT_GT(metrics.per_gpu[0].tasks_executed,
             metrics.per_gpu[1].tasks_executed * 3 / 2);
   const auto validation =
-      analysis::validate_trace(graph, platform, engine.trace());
+      analysis::validate_trace(graph, platform, trace);
   EXPECT_TRUE(validation.ok) << validation.error;
 }
 

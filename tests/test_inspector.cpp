@@ -286,11 +286,16 @@ void expect_clean_run(const core::TaskGraph& graph,
   SchedulerT scheduler(std::forward<Args>(args)...);
   sim::RuntimeEngine engine(graph, platform, scheduler);
   InvariantChecker checker(recording_options());
+  RunReportCollector collector;
   engine.add_inspector(&checker);
+  engine.add_inspector(&collector);
   const core::RunMetrics metrics = engine.run();
   EXPECT_TRUE(checker.ok()) << checker.report().error << "\n"
                             << checker.report().excerpt;
   EXPECT_GT(checker.events_checked(), 0u);
+  for (const sim::RunReport::Gpu& gpu : collector.report().per_gpu) {
+    EXPECT_LE(gpu.peak_committed_bytes, platform.gpu_memory_bytes);
+  }
   std::uint64_t executed = 0;
   for (const auto& gpu : metrics.per_gpu) executed += gpu.tasks_executed;
   EXPECT_EQ(executed, graph.num_tasks());
@@ -306,6 +311,13 @@ TEST(OnlineChecking, DmdaWithPrefetchAndOutputs) {
   const auto graph = work::make_cholesky_tasks({.n = 8});
   expect_clean_run<sched::DmdaScheduler>(graph,
                                          core::make_v100_platform(2, 150 * core::kMB));
+  // Tight memory with write-backs: fetches stall on output scratch, and a
+  // finished write-back's release must reach inspectors before the fetches
+  // it unblocks commit their bytes.
+  const auto with_outputs =
+      work::make_cholesky_tasks({.n = 10, .with_outputs = true});
+  expect_clean_run<sched::DmdaScheduler>(
+      with_outputs, core::make_v100_platform(1, 150 * core::kMB), false);
 }
 
 TEST(OnlineChecking, DartsLufWithNvlink) {
@@ -466,7 +478,7 @@ TEST(RunReport, MirroredTraceExportsToChromeJson) {
   const auto graph = work::make_matmul_2d({.n = 6, .data_bytes = 14 * core::kMB});
   const core::Platform platform = core::make_v100_platform(2, 100 * core::kMB);
   sched::DmdaScheduler scheduler;
-  // record_trace stays OFF: the collector's mirror must be sufficient.
+  // No Trace attached: the collector's own recording must be sufficient.
   sim::RuntimeEngine engine(graph, platform, scheduler);
   RunReportCollector collector;
   engine.add_inspector(&collector);

@@ -14,6 +14,7 @@
 #include "sched/hfp.hpp"
 #include "sched/hmetis_r.hpp"
 #include "sim/engine.hpp"
+#include "sim/trace.hpp"
 #include "workloads/workloads.hpp"
 
 namespace mg {
@@ -88,9 +89,10 @@ TEST_P(IntegrationTest, RunsToCompletionAndRespectsModel) {
   ASSERT_NE(scheduler, nullptr);
 
   sim::EngineConfig config;
-  config.record_trace = true;
   config.seed = 99;
   sim::RuntimeEngine engine(graph, platform, *scheduler, config);
+  sim::Trace trace;
+  engine.add_inspector(&trace);
   const core::RunMetrics metrics = engine.run();
 
   // All work done, split across GPUs.
@@ -101,7 +103,7 @@ TEST_P(IntegrationTest, RunsToCompletionAndRespectsModel) {
   // The trace respects the execution model (residency, memory bound,
   // exactly-once).
   const auto validation =
-      analysis::validate_trace(graph, platform, engine.trace());
+      analysis::validate_trace(graph, platform, trace);
   EXPECT_TRUE(validation.ok) << validation.error;
 
   // Transferred volume can never beat the cold-start lower bound.

@@ -16,6 +16,7 @@
 #include "sched/hfp.hpp"
 #include "sched/hmetis_r.hpp"
 #include "sim/engine.hpp"
+#include "sim/trace.hpp"
 #include "workloads/workloads.hpp"
 
 namespace mg {
@@ -90,10 +91,11 @@ TEST_P(StressTest, IrregularWorkloadUnderPressure) {
   ASSERT_NE(scheduler, nullptr);
 
   sim::EngineConfig config;
-  config.record_trace = true;
   config.pipeline_depth = param.pipeline_depth;
   config.seed = param.workload_seed * 7 + 1;
   sim::RuntimeEngine engine(graph, platform, *scheduler, config);
+  sim::Trace trace;
+  engine.add_inspector(&trace);
   const core::RunMetrics metrics = engine.run();
 
   std::uint64_t executed = 0;
@@ -101,7 +103,7 @@ TEST_P(StressTest, IrregularWorkloadUnderPressure) {
   EXPECT_EQ(executed, graph.num_tasks());
 
   const auto validation =
-      analysis::validate_trace(graph, platform, engine.trace());
+      analysis::validate_trace(graph, platform, trace);
   EXPECT_TRUE(validation.ok) << validation.error;
 
   // Every byte any GPU received came over some channel, and the used data
