@@ -1,25 +1,11 @@
 #include "analysis/trace_export.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 
+#include "util/json.hpp"
+
 namespace mg::analysis {
-
-namespace {
-
-/// Escapes a label for inclusion in a JSON string literal.
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
 
 bool export_chrome_trace(const core::TaskGraph& graph,
                          const core::Platform& platform,
@@ -27,71 +13,81 @@ bool export_chrome_trace(const core::TaskGraph& graph,
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) return false;
 
-  std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n", file);
-  bool first = true;
-  auto emit = [&](const std::string& line) {
-    if (!first) std::fputs(",\n", file);
-    first = false;
-    std::fputs(line.c_str(), file);
+  // The document streams through `out`, flushed to the file in chunks so a
+  // long trace never sits in memory whole.
+  std::string out;
+  bool ok = true;
+  auto flush = [&] {
+    ok = ok && std::fwrite(out.data(), 1, out.size(), file) == out.size();
+    out.clear();
   };
+  util::json::Writer json(out, util::json::Doubles::kFixed3);
+  json.begin_object()
+      .field("displayTimeUnit", "ms")
+      .key("traceEvents")
+      .begin_array(util::json::Writer::kLines);
 
   // Row names.
   for (core::GpuId gpu = 0; gpu < platform.num_gpus; ++gpu) {
-    char line[160];
-    std::snprintf(line, sizeof line,
-                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-                  "\"tid\":%u,\"args\":{\"name\":\"GPU %u\"}}",
-                  gpu, gpu);
-    emit(line);
+    json.begin_object()
+        .field("name", "thread_name")
+        .field("ph", "M")
+        .field("pid", 0)
+        .field("tid", gpu)
+        .key("args")
+        .begin_object()
+        .field("name", "GPU " + std::to_string(gpu))
+        .end_object()
+        .end_object();
   }
 
   // Task slices need start+end pairing; track the open start per GPU.
+  // Loads, peer copies, evictions and write-backs are instant events.
   std::vector<double> open_start(platform.num_gpus, 0.0);
+  std::string name;
   for (const sim::InspectorEvent& event : trace.events) {
-    char line[320];
-    switch (event.kind) {
-      case sim::InspectorEventKind::kTaskStart:
-        open_start[event.gpu] = event.time_us;
-        break;
-      case sim::InspectorEventKind::kTaskEnd: {
-        const std::string& label = graph.task_label(event.id);
-        std::snprintf(line, sizeof line,
-                      "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%u,"
-                      "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"task\":%u}}",
-                      label.empty() ? ("task " + std::to_string(event.id)).c_str()
-                                    : json_escape(label).c_str(),
-                      event.gpu, open_start[event.gpu],
-                      event.time_us - open_start[event.gpu], event.id);
-        emit(line);
-        break;
-      }
-      case sim::InspectorEventKind::kLoadComplete:
-      case sim::InspectorEventKind::kEvict: {
-        const char* kind =
-            event.kind == sim::InspectorEventKind::kEvict
-                ? "evict"
-                : (event.aux != 0 ? "peer-load" : "load");
-        std::snprintf(line, sizeof line,
-                      "{\"name\":\"%s d%u\",\"ph\":\"i\",\"pid\":0,"
-                      "\"tid\":%u,\"ts\":%.3f,\"s\":\"t\"}",
-                      kind, event.id, event.gpu, event.time_us);
-        emit(line);
-        break;
-      }
-      case sim::InspectorEventKind::kWriteBackEnd: {
-        std::snprintf(line, sizeof line,
-                      "{\"name\":\"writeback t%u\",\"ph\":\"i\",\"pid\":0,"
-                      "\"tid\":%u,\"ts\":%.3f,\"s\":\"t\"}",
-                      event.id, event.gpu, event.time_us);
-        emit(line);
-        break;
-      }
-      default:
-        break;
+    using Kind = sim::InspectorEventKind;
+    if (event.kind == Kind::kTaskStart) {
+      open_start[event.gpu] = event.time_us;
+      continue;
     }
+    const std::string id = std::to_string(event.id);
+    switch (event.kind) {
+      case Kind::kTaskEnd: {
+        const std::string& label = graph.task_label(event.id);
+        name = label.empty() ? "task " + id : label;
+        break;
+      }
+      case Kind::kLoadComplete:
+        name = (event.aux != 0 ? "peer-load d" : "load d") + id;
+        break;
+      case Kind::kEvict: name = "evict d" + id; break;
+      case Kind::kWriteBackEnd: name = "writeback t" + id; break;
+      default: continue;
+    }
+    const bool slice = event.kind == Kind::kTaskEnd;
+    json.begin_object()
+        .field("name", name)
+        .field("ph", slice ? "X" : "i")
+        .field("pid", 0)
+        .field("tid", event.gpu)
+        .field("ts", slice ? open_start[event.gpu] : event.time_us);
+    if (slice) {
+      json.field("dur", event.time_us - open_start[event.gpu])
+          .key("args")
+          .begin_object()
+          .field("task", event.id)
+          .end_object();
+    } else {
+      json.field("s", "t");
+    }
+    json.end_object();
+    if (out.size() >= 1 << 16) flush();
   }
-  std::fputs("\n]}\n", file);
-  const bool ok = std::fflush(file) == 0;
+  json.end_array().end_object();
+  out += '\n';
+  flush();
+  ok = ok && std::fflush(file) == 0;
   std::fclose(file);
   return ok;
 }

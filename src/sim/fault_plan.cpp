@@ -66,16 +66,25 @@ bool read_u64(const util::json::Value& object, const char* key,
   return true;
 }
 
-void append_double(std::string* out, double value) {
-  char buffer[64];
-  if (std::isinf(value)) {
-    // JSON has no infinity; an omitted end_us means "until the run ends" and
-    // the parser restores the default.
-    std::snprintf(buffer, sizeof buffer, "1e308");
-  } else {
-    std::snprintf(buffer, sizeof buffer, "%.17g", value);
+/// The entries of the optional array section `key`: empty when absent,
+/// nullptr (with a diagnostic) when it is not an array of objects.
+const util::json::Array* read_section(const util::json::Value& root,
+                                      const std::string& key,
+                                      std::string* error) {
+  static const util::json::Array kNone;
+  const util::json::Value* section = root.find(key);
+  if (section == nullptr) return &kNone;
+  if (!section->is_array()) {
+    fail(error, key + " must be an array");
+    return nullptr;
   }
-  *out += buffer;
+  for (const util::json::Value& entry : section->as_array()) {
+    if (!entry.is_object()) {
+      fail(error, key + " entries must be objects");
+      return nullptr;
+    }
+  }
+  return &section->as_array();
 }
 
 }  // namespace
@@ -265,137 +274,99 @@ std::optional<FaultPlan> parse_fault_plan(std::string_view json_text,
   }
   if (!read_u64(*root, "seed", &plan.seed, error)) return std::nullopt;
 
-  if (const util::json::Value* losses = root->find("gpu_losses")) {
-    if (!losses->is_array()) {
-      fail(error, "gpu_losses must be an array");
+  const util::json::Array* gpu_losses =
+      read_section(*root, "gpu_losses", error);
+  if (gpu_losses == nullptr) return std::nullopt;
+  for (const util::json::Value& entry : *gpu_losses) {
+    FaultPlan::GpuLoss loss;
+    std::uint64_t gpu = 0;
+    if (!read_number(entry, "time_us", &loss.time_us, error) ||
+        !read_u64(entry, "gpu", &gpu, error)) {
       return std::nullopt;
     }
-    for (const util::json::Value& entry : losses->as_array()) {
-      if (!entry.is_object()) {
-        fail(error, "gpu_losses entries must be objects");
-        return std::nullopt;
-      }
-      FaultPlan::GpuLoss loss;
-      std::uint64_t gpu = 0;
-      if (!read_number(entry, "time_us", &loss.time_us, error) ||
-          !read_u64(entry, "gpu", &gpu, error)) {
-        return std::nullopt;
-      }
-      loss.gpu = static_cast<core::GpuId>(gpu);
-      plan.gpu_losses.push_back(loss);
-    }
+    loss.gpu = static_cast<core::GpuId>(gpu);
+    plan.gpu_losses.push_back(loss);
   }
 
-  if (const util::json::Value* losses = root->find("node_losses")) {
-    if (!losses->is_array()) {
-      fail(error, "node_losses must be an array");
+  const util::json::Array* node_losses =
+      read_section(*root, "node_losses", error);
+  if (node_losses == nullptr) return std::nullopt;
+  for (const util::json::Value& entry : *node_losses) {
+    FaultPlan::NodeLoss loss;
+    std::uint64_t node = 0;
+    if (!read_number(entry, "time_us", &loss.time_us, error) ||
+        !read_u64(entry, "node", &node, error)) {
       return std::nullopt;
     }
-    for (const util::json::Value& entry : losses->as_array()) {
-      if (!entry.is_object()) {
-        fail(error, "node_losses entries must be objects");
-        return std::nullopt;
-      }
-      FaultPlan::NodeLoss loss;
-      std::uint64_t node = 0;
-      if (!read_number(entry, "time_us", &loss.time_us, error) ||
-          !read_u64(entry, "node", &node, error)) {
-        return std::nullopt;
-      }
-      loss.node = static_cast<core::NodeId>(node);
-      plan.node_losses.push_back(loss);
-    }
+    loss.node = static_cast<core::NodeId>(node);
+    plan.node_losses.push_back(loss);
   }
 
-  if (const util::json::Value* faults = root->find("transfer_faults")) {
-    if (!faults->is_array()) {
-      fail(error, "transfer_faults must be an array");
+  const util::json::Array* transfer_faults =
+      read_section(*root, "transfer_faults", error);
+  if (transfer_faults == nullptr) return std::nullopt;
+  for (const util::json::Value& entry : *transfer_faults) {
+    FaultPlan::TransferFault fault;
+    std::uint64_t max_failures = fault.max_failures_per_transfer;
+    if (!read_number(entry, "start_us", &fault.start_us, error) ||
+        !read_number(entry, "end_us", &fault.end_us, error) ||
+        !read_number(entry, "probability", &fault.probability, error) ||
+        !read_u64(entry, "max_failures_per_transfer", &max_failures, error)) {
       return std::nullopt;
     }
-    for (const util::json::Value& entry : faults->as_array()) {
-      if (!entry.is_object()) {
-        fail(error, "transfer_faults entries must be objects");
+    fault.max_failures_per_transfer = static_cast<std::uint32_t>(max_failures);
+    if (const util::json::Value* scope = entry.find("scope")) {
+      if (!scope->is_string() ||
+          !scope_from_name(scope->as_string(), &fault.scope)) {
+        fail(error, "transfer_faults: scope must be \"all\", \"host_bus\" or "
+                    "\"nvlink\"");
         return std::nullopt;
       }
-      FaultPlan::TransferFault fault;
-      std::uint64_t max_failures = fault.max_failures_per_transfer;
-      if (!read_number(entry, "start_us", &fault.start_us, error) ||
-          !read_number(entry, "end_us", &fault.end_us, error) ||
-          !read_number(entry, "probability", &fault.probability, error) ||
-          !read_u64(entry, "max_failures_per_transfer", &max_failures,
-                    error)) {
-        return std::nullopt;
-      }
-      fault.max_failures_per_transfer =
-          static_cast<std::uint32_t>(max_failures);
-      if (const util::json::Value* scope = entry.find("scope")) {
-        if (!scope->is_string() ||
-            !scope_from_name(scope->as_string(), &fault.scope)) {
-          fail(error,
-               "transfer_faults: scope must be \"all\", \"host_bus\" or "
-               "\"nvlink\"");
-          return std::nullopt;
-        }
-      }
-      plan.transfer_faults.push_back(fault);
     }
+    plan.transfer_faults.push_back(fault);
   }
 
-  if (const util::json::Value* shocks = root->find("capacity_shocks")) {
-    if (!shocks->is_array()) {
-      fail(error, "capacity_shocks must be an array");
+  const util::json::Array* capacity_shocks =
+      read_section(*root, "capacity_shocks", error);
+  if (capacity_shocks == nullptr) return std::nullopt;
+  for (const util::json::Value& entry : *capacity_shocks) {
+    FaultPlan::CapacityShock shock;
+    std::uint64_t gpu = 0;
+    if (!read_number(entry, "time_us", &shock.time_us, error) ||
+        !read_u64(entry, "gpu", &gpu, error) ||
+        !read_u64(entry, "capacity_bytes", &shock.capacity_bytes, error)) {
       return std::nullopt;
     }
-    for (const util::json::Value& entry : shocks->as_array()) {
-      if (!entry.is_object()) {
-        fail(error, "capacity_shocks entries must be objects");
-        return std::nullopt;
-      }
-      FaultPlan::CapacityShock shock;
-      std::uint64_t gpu = 0;
-      if (!read_number(entry, "time_us", &shock.time_us, error) ||
-          !read_u64(entry, "gpu", &gpu, error) ||
-          !read_u64(entry, "capacity_bytes", &shock.capacity_bytes, error)) {
-        return std::nullopt;
-      }
-      shock.gpu = static_cast<core::GpuId>(gpu);
-      plan.capacity_shocks.push_back(shock);
-    }
+    shock.gpu = static_cast<core::GpuId>(gpu);
+    plan.capacity_shocks.push_back(shock);
   }
 
-  if (const util::json::Value* faults = root->find("link_faults")) {
-    if (!faults->is_array()) {
-      fail(error, "link_faults must be an array");
+  const util::json::Array* link_faults =
+      read_section(*root, "link_faults", error);
+  if (link_faults == nullptr) return std::nullopt;
+  for (const util::json::Value& entry : *link_faults) {
+    FaultPlan::LinkFault fault;
+    std::uint64_t src = 0;
+    std::uint64_t dst = 0;
+    if (!read_u64(entry, "src", &src, error) ||
+        !read_u64(entry, "dst", &dst, error) ||
+        !read_number(entry, "start_us", &fault.start_us, error) ||
+        !read_number(entry, "end_us", &fault.end_us, error) ||
+        !read_number(entry, "bandwidth_factor", &fault.bandwidth_factor,
+                     error) ||
+        !read_number(entry, "straggler_us", &fault.straggler_us, error)) {
       return std::nullopt;
     }
-    for (const util::json::Value& entry : faults->as_array()) {
-      if (!entry.is_object()) {
-        fail(error, "link_faults entries must be objects");
+    if (const util::json::Value* partition = entry.find("partition")) {
+      if (!partition->is_bool()) {
+        fail(error, "link_faults: partition must be a boolean");
         return std::nullopt;
       }
-      FaultPlan::LinkFault fault;
-      std::uint64_t src = 0;
-      std::uint64_t dst = 0;
-      if (!read_u64(entry, "src", &src, error) ||
-          !read_u64(entry, "dst", &dst, error) ||
-          !read_number(entry, "start_us", &fault.start_us, error) ||
-          !read_number(entry, "end_us", &fault.end_us, error) ||
-          !read_number(entry, "bandwidth_factor", &fault.bandwidth_factor,
-                       error) ||
-          !read_number(entry, "straggler_us", &fault.straggler_us, error)) {
-        return std::nullopt;
-      }
-      if (const util::json::Value* partition = entry.find("partition")) {
-        if (!partition->is_bool()) {
-          fail(error, "link_faults: partition must be a boolean");
-          return std::nullopt;
-        }
-        fault.partition = partition->as_bool();
-      }
-      fault.src = static_cast<core::NodeId>(src);
-      fault.dst = static_cast<core::NodeId>(dst);
-      plan.link_faults.push_back(fault);
+      fault.partition = partition->as_bool();
     }
+    fault.src = static_cast<core::NodeId>(src);
+    fault.dst = static_cast<core::NodeId>(dst);
+    plan.link_faults.push_back(fault);
   }
   return plan;
 }
@@ -418,83 +389,55 @@ std::optional<FaultPlan> load_fault_plan_file(const std::string& path,
 }
 
 std::string fault_plan_to_json(const FaultPlan& plan) {
-  std::string out = "{\"schema_version\":";
-  out += std::to_string(FaultPlan::kSchemaVersion);
-  out += ",\"seed\":";
-  out += std::to_string(plan.seed);
-  out += ",\"gpu_losses\":[";
-  for (std::size_t i = 0; i < plan.gpu_losses.size(); ++i) {
-    const FaultPlan::GpuLoss& loss = plan.gpu_losses[i];
-    if (i != 0) out += ',';
-    out += "{\"time_us\":";
-    append_double(&out, loss.time_us);
-    out += ",\"gpu\":";
-    out += std::to_string(loss.gpu);
-    out += '}';
+  std::string out;
+  util::json::Writer json(out, util::json::Doubles::kExact);
+  json.begin_object()
+      .field("schema_version", FaultPlan::kSchemaVersion)
+      .field("seed", plan.seed);
+  json.key("gpu_losses").begin_array();
+  for (const FaultPlan::GpuLoss& loss : plan.gpu_losses) {
+    json.begin_object()
+        .field("time_us", loss.time_us)
+        .field("gpu", loss.gpu)
+        .end_object();
   }
-  out += "],\"node_losses\":[";
-  for (std::size_t i = 0; i < plan.node_losses.size(); ++i) {
-    const FaultPlan::NodeLoss& loss = plan.node_losses[i];
-    if (i != 0) out += ',';
-    out += "{\"time_us\":";
-    append_double(&out, loss.time_us);
-    out += ",\"node\":";
-    out += std::to_string(loss.node);
-    out += '}';
+  json.end_array().key("node_losses").begin_array();
+  for (const FaultPlan::NodeLoss& loss : plan.node_losses) {
+    json.begin_object()
+        .field("time_us", loss.time_us)
+        .field("node", loss.node)
+        .end_object();
   }
-  out += "],\"transfer_faults\":[";
-  for (std::size_t i = 0; i < plan.transfer_faults.size(); ++i) {
-    const FaultPlan::TransferFault& fault = plan.transfer_faults[i];
-    if (i != 0) out += ',';
-    out += "{\"start_us\":";
-    append_double(&out, fault.start_us);
-    if (std::isfinite(fault.end_us)) {
-      out += ",\"end_us\":";
-      append_double(&out, fault.end_us);
-    }
-    out += ",\"scope\":\"";
-    out += scope_name(fault.scope);
-    out += "\",\"probability\":";
-    append_double(&out, fault.probability);
-    out += ",\"max_failures_per_transfer\":";
-    out += std::to_string(fault.max_failures_per_transfer);
-    out += '}';
+  json.end_array().key("transfer_faults").begin_array();
+  for (const FaultPlan::TransferFault& fault : plan.transfer_faults) {
+    json.begin_object().field("start_us", fault.start_us);
+    if (std::isfinite(fault.end_us)) json.field("end_us", fault.end_us);
+    json.field("scope", scope_name(fault.scope))
+        .field("probability", fault.probability)
+        .field("max_failures_per_transfer", fault.max_failures_per_transfer)
+        .end_object();
   }
-  out += "],\"capacity_shocks\":[";
-  for (std::size_t i = 0; i < plan.capacity_shocks.size(); ++i) {
-    const FaultPlan::CapacityShock& shock = plan.capacity_shocks[i];
-    if (i != 0) out += ',';
-    out += "{\"time_us\":";
-    append_double(&out, shock.time_us);
-    out += ",\"gpu\":";
-    out += std::to_string(shock.gpu);
-    out += ",\"capacity_bytes\":";
-    out += std::to_string(shock.capacity_bytes);
-    out += '}';
+  json.end_array().key("capacity_shocks").begin_array();
+  for (const FaultPlan::CapacityShock& shock : plan.capacity_shocks) {
+    json.begin_object()
+        .field("time_us", shock.time_us)
+        .field("gpu", shock.gpu)
+        .field("capacity_bytes", shock.capacity_bytes)
+        .end_object();
   }
-  out += "],\"link_faults\":[";
-  for (std::size_t i = 0; i < plan.link_faults.size(); ++i) {
-    const FaultPlan::LinkFault& fault = plan.link_faults[i];
-    if (i != 0) out += ',';
-    out += "{\"src\":";
-    out += std::to_string(fault.src);
-    out += ",\"dst\":";
-    out += std::to_string(fault.dst);
-    out += ",\"start_us\":";
-    append_double(&out, fault.start_us);
-    if (std::isfinite(fault.end_us)) {
-      out += ",\"end_us\":";
-      append_double(&out, fault.end_us);
-    }
-    out += ",\"bandwidth_factor\":";
-    append_double(&out, fault.bandwidth_factor);
-    out += ",\"straggler_us\":";
-    append_double(&out, fault.straggler_us);
-    out += ",\"partition\":";
-    out += fault.partition ? "true" : "false";
-    out += '}';
+  json.end_array().key("link_faults").begin_array();
+  for (const FaultPlan::LinkFault& fault : plan.link_faults) {
+    json.begin_object()
+        .field("src", fault.src)
+        .field("dst", fault.dst)
+        .field("start_us", fault.start_us);
+    if (std::isfinite(fault.end_us)) json.field("end_us", fault.end_us);
+    json.field("bandwidth_factor", fault.bandwidth_factor)
+        .field("straggler_us", fault.straggler_us)
+        .field("partition", fault.partition)
+        .end_object();
   }
-  out += "]}";
+  json.end_array().end_object();
   return out;
 }
 

@@ -3,421 +3,319 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "util/json.hpp"
+
 namespace mg::sim {
 
 namespace {
 
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  for (char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+void write_run_report(util::json::Writer& json, const RunReport& report) {
+  json.begin_object()
+      .field("schema_version", RunReport::kSchemaVersion)
+      .field("scheduler", report.scheduler)
+      .field("context", report.context);
+
+  json.key("platform")
+      .begin_object()
+      .field("num_gpus", report.num_gpus)
+      .field("gpu_memory_bytes", report.gpu_memory_bytes)
+      .field("bus_bandwidth_bytes_per_s", report.bus_bandwidth_bytes_per_s)
+      .field("nvlink", report.nvlink)
+      .end_object();
+
+  json.field("makespan_us", report.makespan_us)
+      .field("total_flops", report.total_flops)
+      .field("achieved_gflops", report.achieved_gflops);
+
+  json.key("per_gpu").begin_array();
+  for (std::size_t gpu = 0; gpu < report.per_gpu.size(); ++gpu) {
+    const RunReport::Gpu& g = report.per_gpu[gpu];
+    json.begin_object()
+        .field("gpu", gpu)
+        .field("tasks_executed", g.tasks_executed)
+        .field("busy_us", g.busy_us)
+        .field("loads", g.loads)
+        .field("peer_loads", g.peer_loads)
+        .field("bytes_loaded", g.bytes_loaded)
+        .field("evictions", g.evictions)
+        .field("peak_committed_bytes", g.peak_committed_bytes)
+        .field("eviction_policy", g.eviction_policy)
+        .end_object();
   }
-  out += '"';
-}
+  json.end_array();
 
-void append_double(std::string& out, double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof buffer, "%.10g", value);
-  out += buffer;
-}
+  json.key("load_balance")
+      .begin_object()
+      .field("max_tasks", report.load_balance.max_tasks)
+      .field("min_tasks", report.load_balance.min_tasks)
+      .field("mean_tasks", report.load_balance.mean_tasks)
+      .field("busy_imbalance", report.load_balance.busy_imbalance)
+      .end_object();
 
-void append_u64(std::string& out, std::uint64_t value) {
-  out += std::to_string(value);
+  json.key("channels").begin_array();
+  for (const RunReport::Channel& channel : report.channels) {
+    json.begin_object()
+        .field("name", channel.name)
+        .field("transfers", channel.transfers)
+        .field("bytes", channel.bytes)
+        .field("busy_us", channel.busy_us)
+        .field("occupancy", channel.occupancy)
+        .key("occupancy_buckets")
+        .begin_array();
+    for (double fraction : channel.occupancy_buckets) json.value(fraction);
+    json.end_array().end_object();
+  }
+  json.end_array();
+
+  json.key("prefetch")
+      .begin_object()
+      .field("demand_fetches", report.prefetch.demand_fetches)
+      .field("prefetch_fetches", report.prefetch.prefetch_fetches)
+      .field("hit_rate", report.prefetch.hit_rate)
+      .end_object();
+
+  json.key("evictions_by_policy").begin_object();
+  for (const auto& [policy, count] : report.evictions_by_policy) {
+    json.field(policy, count);
+  }
+  json.end_object();
+
+  const RunReport::Faults& faults = report.faults;
+  json.key("faults")
+      .begin_object()
+      .field("gpu_losses", faults.gpu_losses)
+      .field("capacity_shocks", faults.capacity_shocks)
+      .field("tasks_reclaimed", faults.tasks_reclaimed)
+      .field("transfer_retries", faults.transfer_retries)
+      .field("wasted_transfer_bytes", faults.wasted_transfer_bytes)
+      .key("recovery_latency_us")
+      .begin_array();
+  for (double latency : faults.recovery_latency_us) json.value(latency);
+  json.end_array()
+      .field("max_recovery_latency_us", faults.max_recovery_latency_us)
+      .key("adoptions")
+      .begin_array();
+  for (const RunReport::Faults::Adoption& adoption : faults.adoptions) {
+    json.begin_object()
+        .field("task", adoption.task)
+        .field("from_gpu", adoption.from_gpu)
+        .field("to_gpu", adoption.to_gpu)
+        .end_object();
+  }
+  json.end_array();
+
+  const RunReport::Faults::Checkpoints& checkpoints = faults.checkpoints;
+  json.key("checkpoints")
+      .begin_object()
+      .field("taken", checkpoints.taken)
+      .field("payload_bytes", checkpoints.payload_bytes)
+      .field("overhead_us", checkpoints.overhead_us)
+      .field("tasks_restored", checkpoints.tasks_restored)
+      .field("compute_saved_us", checkpoints.compute_saved_us)
+      .end_object();
+
+  const RunReport::Faults::Replicas& replicas = faults.replicas;
+  json.key("replicas")
+      .begin_object()
+      .field("created", replicas.created)
+      .field("bytes", replicas.bytes)
+      .field("shed", replicas.shed)
+      .field("protected_sole_survivor", replicas.protected_sole_survivor)
+      .field("released", replicas.released)
+      .field("post_loss_host_loads", replicas.post_loss_host_loads)
+      .end_object();
+
+  json.key("replay_divergence").begin_array();
+  for (const RunReport::Faults::ReplayDivergenceEntry& entry :
+       faults.replay_divergence) {
+    json.begin_object()
+        .field("gpu", entry.gpu)
+        .field("divergence_index", entry.divergence_index)
+        .field("reassigned_tasks", entry.reassigned_tasks)
+        .end_object();
+  }
+  json.end_array().end_object();
+
+  const RunReport::Serving& serving = report.serving;
+  json.key("serving")
+      .begin_object()
+      .field("enabled", serving.enabled)
+      .field("arrival", serving.arrival)
+      .field("jobs_submitted", serving.jobs_submitted)
+      .field("jobs_completed", serving.jobs_completed)
+      .field("jobs_shed", serving.jobs_shed)
+      .field("throughput_jobs_per_s", serving.throughput_jobs_per_s)
+      .field("latency_p50_us", serving.latency_p50_us)
+      .field("latency_p95_us", serving.latency_p95_us)
+      .field("latency_p99_us", serving.latency_p99_us)
+      .field("latency_mean_us", serving.latency_mean_us)
+      .field("latency_max_us", serving.latency_max_us)
+      .field("deadline_hits", serving.deadline_hits)
+      .field("deadline_misses", serving.deadline_misses)
+      .field("deadline_miss_rate", serving.deadline_miss_rate)
+      .field("cross_job_reuse_bytes", serving.cross_job_reuse_bytes)
+      .field("cross_job_reuse_hits", serving.cross_job_reuse_hits)
+      .field("peak_jobs_in_flight", serving.peak_jobs_in_flight)
+      .field("peak_queue_depth", serving.peak_queue_depth)
+      .key("queue_depth_timeline")
+      .begin_array();
+  for (const auto& [time_us, depth] : serving.queue_depth_timeline) {
+    json.begin_array().value(time_us).value(depth).end_array();
+  }
+  json.end_array().end_object();
+
+  const RunReport::Cluster& cluster = report.cluster;
+  json.key("cluster")
+      .begin_object()
+      .field("enabled", cluster.enabled)
+      .field("num_nodes", cluster.num_nodes)
+      .key("per_node")
+      .begin_array();
+  for (std::size_t node = 0; node < cluster.per_node.size(); ++node) {
+    const RunReport::Cluster::Node& n = cluster.per_node[node];
+    json.begin_object()
+        .field("node", node)
+        .field("gpu_begin", n.gpu_begin)
+        .field("gpu_end", n.gpu_end)
+        .field("tasks_executed", n.tasks_executed)
+        .field("busy_us", n.busy_us)
+        .field("loads", n.loads)
+        .field("bytes_loaded", n.bytes_loaded)
+        .field("remote_fetches", n.remote_fetches)
+        .field("host_cache_fills", n.host_cache_fills)
+        .field("host_cache_evictions", n.host_cache_evictions)
+        .end_object();
+  }
+  json.end_array()
+      .field("network_transfers", cluster.network_transfers)
+      .field("network_bytes", cluster.network_bytes)
+      .field("host_cache_fills", cluster.host_cache_fills)
+      .field("host_cache_evictions", cluster.host_cache_evictions)
+      .field("steals", cluster.steals)
+      .end_object();
+
+  const RunReport::Dependencies& deps = report.dependencies;
+  json.key("dependencies")
+      .begin_object()
+      .field("enabled", deps.enabled)
+      .field("explicit_edges", deps.explicit_edges)
+      .field("raw_edges", deps.raw_edges)
+      .field("war_edges", deps.war_edges)
+      .field("waw_edges", deps.waw_edges)
+      .field("total_edges", deps.total_edges)
+      .field("critical_path_length", deps.critical_path_length)
+      .field("max_ready_width", deps.max_ready_width)
+      .field("tasks_enabled", deps.tasks_enabled)
+      .field("edges_released", deps.edges_released)
+      .field("tasks_unretired", deps.tasks_unretired)
+      .end_object();
+
+  const RunReport::Autoscaling& scaling = report.autoscaling;
+  json.key("autoscaling")
+      .begin_object()
+      .field("enabled", scaling.enabled)
+      .field("scale_out_events", scaling.scale_out_events)
+      .field("scale_in_events", scaling.scale_in_events)
+      .field("nodes_drained", scaling.nodes_drained)
+      .field("nodes_joined", scaling.nodes_joined)
+      .field("node_losses", scaling.node_losses)
+      .field("tasks_drained", scaling.tasks_drained)
+      .field("migrations", scaling.migrations)
+      .field("migrated_bytes", scaling.migrated_bytes)
+      .field("warm_fills", scaling.warm_fills)
+      .field("warm_fill_bytes", scaling.warm_fill_bytes)
+      .field("drain_latency_total_us", scaling.drain_latency_total_us)
+      .field("drain_latency_max_us", scaling.drain_latency_max_us)
+      .end_object();
+
+  const RunReport::Occupancy& occupancy = report.occupancy;
+  json.key("occupancy")
+      .begin_object()
+      .field("enabled", occupancy.enabled)
+      .field("threshold", occupancy.threshold)
+      .field("total_warps", occupancy.total_warps)
+      .field("budget_warps", occupancy.budget_warps)
+      .key("per_gpu")
+      .begin_array();
+  for (std::size_t gpu = 0; gpu < occupancy.per_gpu.size(); ++gpu) {
+    json.begin_object()
+        .field("gpu", gpu)
+        .field("peak_warps", occupancy.per_gpu[gpu].peak_warps)
+        .field("mean_occupancy", occupancy.per_gpu[gpu].mean_occupancy)
+        .end_object();
+  }
+  json.end_array()
+      .field("admissions", occupancy.admissions)
+      .field("rejections", occupancy.rejections)
+      .field("co_run_pairs", occupancy.co_run_pairs)
+      .end_object();
+
+  const RunReport::NetworkFaults& net = report.network_faults;
+  json.key("network_faults")
+      .begin_object()
+      .field("enabled", net.enabled)
+      .field("link_degradations", net.link_degradations)
+      .field("link_partitions", net.link_partitions)
+      .field("link_heals", net.link_heals)
+      .field("fetch_timeouts", net.fetch_timeouts)
+      .field("hedged_fetches", net.hedged_fetches)
+      .field("hedges_wasted", net.hedges_wasted)
+      .field("hedge_wasted_bytes", net.hedge_wasted_bytes)
+      .field("nodes_suspected", net.nodes_suspected)
+      .field("suspicions_cleared", net.suspicions_cleared)
+      .field("suspicions_escalated", net.suspicions_escalated)
+      .end_object();
+
+  const RunReport::Slo& slo = report.slo;
+  json.key("slo")
+      .begin_object()
+      .field("enabled", slo.enabled)
+      .field("tiers", slo.tiers)
+      .field("jobs_fused", slo.jobs_fused)
+      .field("super_tasks", slo.super_tasks)
+      .field("batches_unfused", slo.batches_unfused)
+      .field("evictions_vetoed", slo.evictions_vetoed)
+      .field("protections", slo.protections)
+      .key("per_tier")
+      .begin_array();
+  for (const RunReport::Slo::Tier& tier : slo.per_tier) {
+    json.begin_object()
+        .field("tier", tier.tier)
+        .field("jobs", tier.jobs)
+        .field("p50_us", tier.p50_us)
+        .field("p95_us", tier.p95_us)
+        .field("p99_us", tier.p99_us)
+        .field("deadline_misses", tier.deadline_misses)
+        .end_object();
+  }
+  json.end_array().end_object();
+  json.end_object();
 }
 
 }  // namespace
 
 std::string run_report_to_json(const RunReport& report) {
-  std::string json = "{";
-  json += "\"schema_version\":" + std::to_string(RunReport::kSchemaVersion);
-  json += ",\"scheduler\":";
-  append_json_string(json, report.scheduler);
-  json += ",\"context\":";
-  append_json_string(json, report.context);
-
-  json += ",\"platform\":{\"num_gpus\":" + std::to_string(report.num_gpus);
-  json += ",\"gpu_memory_bytes\":";
-  append_u64(json, report.gpu_memory_bytes);
-  json += ",\"bus_bandwidth_bytes_per_s\":";
-  append_double(json, report.bus_bandwidth_bytes_per_s);
-  json += ",\"nvlink\":";
-  json += report.nvlink ? "true" : "false";
-  json += "}";
-
-  json += ",\"makespan_us\":";
-  append_double(json, report.makespan_us);
-  json += ",\"total_flops\":";
-  append_double(json, report.total_flops);
-  json += ",\"achieved_gflops\":";
-  append_double(json, report.achieved_gflops);
-
-  json += ",\"per_gpu\":[";
-  for (std::size_t gpu = 0; gpu < report.per_gpu.size(); ++gpu) {
-    const RunReport::Gpu& g = report.per_gpu[gpu];
-    if (gpu > 0) json += ',';
-    json += "{\"gpu\":" + std::to_string(gpu);
-    json += ",\"tasks_executed\":";
-    append_u64(json, g.tasks_executed);
-    json += ",\"busy_us\":";
-    append_double(json, g.busy_us);
-    json += ",\"loads\":";
-    append_u64(json, g.loads);
-    json += ",\"peer_loads\":";
-    append_u64(json, g.peer_loads);
-    json += ",\"bytes_loaded\":";
-    append_u64(json, g.bytes_loaded);
-    json += ",\"evictions\":";
-    append_u64(json, g.evictions);
-    json += ",\"peak_committed_bytes\":";
-    append_u64(json, g.peak_committed_bytes);
-    json += ",\"eviction_policy\":";
-    append_json_string(json, g.eviction_policy);
-    json += "}";
-  }
-  json += "]";
-
-  json += ",\"load_balance\":{\"max_tasks\":";
-  append_u64(json, report.load_balance.max_tasks);
-  json += ",\"min_tasks\":";
-  append_u64(json, report.load_balance.min_tasks);
-  json += ",\"mean_tasks\":";
-  append_double(json, report.load_balance.mean_tasks);
-  json += ",\"busy_imbalance\":";
-  append_double(json, report.load_balance.busy_imbalance);
-  json += "}";
-
-  json += ",\"channels\":[";
-  for (std::size_t i = 0; i < report.channels.size(); ++i) {
-    const RunReport::Channel& channel = report.channels[i];
-    if (i > 0) json += ',';
-    json += "{\"name\":";
-    append_json_string(json, channel.name);
-    json += ",\"transfers\":";
-    append_u64(json, channel.transfers);
-    json += ",\"bytes\":";
-    append_u64(json, channel.bytes);
-    json += ",\"busy_us\":";
-    append_double(json, channel.busy_us);
-    json += ",\"occupancy\":";
-    append_double(json, channel.occupancy);
-    json += ",\"occupancy_buckets\":[";
-    for (std::size_t b = 0; b < channel.occupancy_buckets.size(); ++b) {
-      if (b > 0) json += ',';
-      append_double(json, channel.occupancy_buckets[b]);
-    }
-    json += "]}";
-  }
-  json += "]";
-
-  json += ",\"prefetch\":{\"demand_fetches\":";
-  append_u64(json, report.prefetch.demand_fetches);
-  json += ",\"prefetch_fetches\":";
-  append_u64(json, report.prefetch.prefetch_fetches);
-  json += ",\"hit_rate\":";
-  append_double(json, report.prefetch.hit_rate);
-  json += "}";
-
-  json += ",\"evictions_by_policy\":{";
-  bool first = true;
-  for (const auto& [policy, count] : report.evictions_by_policy) {
-    if (!first) json += ',';
-    first = false;
-    append_json_string(json, policy);
-    json += ':';
-    append_u64(json, count);
-  }
-  json += "}";
-
-  json += ",\"faults\":{\"gpu_losses\":" +
-          std::to_string(report.faults.gpu_losses);
-  json += ",\"capacity_shocks\":" +
-          std::to_string(report.faults.capacity_shocks);
-  json += ",\"tasks_reclaimed\":";
-  append_u64(json, report.faults.tasks_reclaimed);
-  json += ",\"transfer_retries\":";
-  append_u64(json, report.faults.transfer_retries);
-  json += ",\"wasted_transfer_bytes\":";
-  append_u64(json, report.faults.wasted_transfer_bytes);
-  json += ",\"recovery_latency_us\":[";
-  for (std::size_t i = 0; i < report.faults.recovery_latency_us.size(); ++i) {
-    if (i > 0) json += ',';
-    append_double(json, report.faults.recovery_latency_us[i]);
-  }
-  json += "],\"max_recovery_latency_us\":";
-  append_double(json, report.faults.max_recovery_latency_us);
-  json += ",\"adoptions\":[";
-  for (std::size_t i = 0; i < report.faults.adoptions.size(); ++i) {
-    const RunReport::Faults::Adoption& adoption = report.faults.adoptions[i];
-    if (i > 0) json += ',';
-    json += "{\"task\":" + std::to_string(adoption.task);
-    json += ",\"from_gpu\":" + std::to_string(adoption.from_gpu);
-    json += ",\"to_gpu\":" + std::to_string(adoption.to_gpu);
-    json += "}";
-  }
-  json += "]";
-
-  const RunReport::Faults::Checkpoints& checkpoints = report.faults.checkpoints;
-  json += ",\"checkpoints\":{\"taken\":";
-  append_u64(json, checkpoints.taken);
-  json += ",\"payload_bytes\":";
-  append_u64(json, checkpoints.payload_bytes);
-  json += ",\"overhead_us\":";
-  append_double(json, checkpoints.overhead_us);
-  json += ",\"tasks_restored\":";
-  append_u64(json, checkpoints.tasks_restored);
-  json += ",\"compute_saved_us\":";
-  append_double(json, checkpoints.compute_saved_us);
-  json += "}";
-
-  const RunReport::Faults::Replicas& replicas = report.faults.replicas;
-  json += ",\"replicas\":{\"created\":";
-  append_u64(json, replicas.created);
-  json += ",\"bytes\":";
-  append_u64(json, replicas.bytes);
-  json += ",\"shed\":";
-  append_u64(json, replicas.shed);
-  json += ",\"protected_sole_survivor\":";
-  append_u64(json, replicas.protected_sole_survivor);
-  json += ",\"released\":";
-  append_u64(json, replicas.released);
-  json += ",\"post_loss_host_loads\":";
-  append_u64(json, replicas.post_loss_host_loads);
-  json += "}";
-
-  json += ",\"replay_divergence\":[";
-  for (std::size_t i = 0; i < report.faults.replay_divergence.size(); ++i) {
-    const RunReport::Faults::ReplayDivergenceEntry& entry =
-        report.faults.replay_divergence[i];
-    if (i > 0) json += ',';
-    json += "{\"gpu\":" + std::to_string(entry.gpu);
-    json += ",\"divergence_index\":" + std::to_string(entry.divergence_index);
-    json += ",\"reassigned_tasks\":" + std::to_string(entry.reassigned_tasks);
-    json += "}";
-  }
-  json += "]}";
-
-  const RunReport::Serving& serving = report.serving;
-  json += ",\"serving\":{\"enabled\":";
-  json += serving.enabled ? "true" : "false";
-  json += ",\"arrival\":";
-  append_json_string(json, serving.arrival);
-  json += ",\"jobs_submitted\":" + std::to_string(serving.jobs_submitted);
-  json += ",\"jobs_completed\":" + std::to_string(serving.jobs_completed);
-  json += ",\"jobs_shed\":" + std::to_string(serving.jobs_shed);
-  json += ",\"throughput_jobs_per_s\":";
-  append_double(json, serving.throughput_jobs_per_s);
-  json += ",\"latency_p50_us\":";
-  append_double(json, serving.latency_p50_us);
-  json += ",\"latency_p95_us\":";
-  append_double(json, serving.latency_p95_us);
-  json += ",\"latency_p99_us\":";
-  append_double(json, serving.latency_p99_us);
-  json += ",\"latency_mean_us\":";
-  append_double(json, serving.latency_mean_us);
-  json += ",\"latency_max_us\":";
-  append_double(json, serving.latency_max_us);
-  json += ",\"deadline_hits\":" + std::to_string(serving.deadline_hits);
-  json += ",\"deadline_misses\":" + std::to_string(serving.deadline_misses);
-  json += ",\"deadline_miss_rate\":";
-  append_double(json, serving.deadline_miss_rate);
-  json += ",\"cross_job_reuse_bytes\":";
-  append_u64(json, serving.cross_job_reuse_bytes);
-  json += ",\"cross_job_reuse_hits\":";
-  append_u64(json, serving.cross_job_reuse_hits);
-  json += ",\"peak_jobs_in_flight\":" +
-          std::to_string(serving.peak_jobs_in_flight);
-  json += ",\"peak_queue_depth\":" + std::to_string(serving.peak_queue_depth);
-  json += ",\"queue_depth_timeline\":[";
-  for (std::size_t i = 0; i < serving.queue_depth_timeline.size(); ++i) {
-    if (i > 0) json += ',';
-    json += '[';
-    append_double(json, serving.queue_depth_timeline[i].first);
-    json += ',' + std::to_string(serving.queue_depth_timeline[i].second);
-    json += ']';
-  }
-  json += "]}";
-
-  const RunReport::Cluster& cluster = report.cluster;
-  json += ",\"cluster\":{\"enabled\":";
-  json += cluster.enabled ? "true" : "false";
-  json += ",\"num_nodes\":" + std::to_string(cluster.num_nodes);
-  json += ",\"per_node\":[";
-  for (std::size_t node = 0; node < cluster.per_node.size(); ++node) {
-    const RunReport::Cluster::Node& n = cluster.per_node[node];
-    if (node > 0) json += ',';
-    json += "{\"node\":" + std::to_string(node);
-    json += ",\"gpu_begin\":" + std::to_string(n.gpu_begin);
-    json += ",\"gpu_end\":" + std::to_string(n.gpu_end);
-    json += ",\"tasks_executed\":";
-    append_u64(json, n.tasks_executed);
-    json += ",\"busy_us\":";
-    append_double(json, n.busy_us);
-    json += ",\"loads\":";
-    append_u64(json, n.loads);
-    json += ",\"bytes_loaded\":";
-    append_u64(json, n.bytes_loaded);
-    json += ",\"remote_fetches\":";
-    append_u64(json, n.remote_fetches);
-    json += ",\"host_cache_fills\":";
-    append_u64(json, n.host_cache_fills);
-    json += ",\"host_cache_evictions\":";
-    append_u64(json, n.host_cache_evictions);
-    json += "}";
-  }
-  json += "],\"network_transfers\":";
-  append_u64(json, cluster.network_transfers);
-  json += ",\"network_bytes\":";
-  append_u64(json, cluster.network_bytes);
-  json += ",\"host_cache_fills\":";
-  append_u64(json, cluster.host_cache_fills);
-  json += ",\"host_cache_evictions\":";
-  append_u64(json, cluster.host_cache_evictions);
-  json += ",\"steals\":";
-  append_u64(json, cluster.steals);
-  json += "}";
-
-  const RunReport::Dependencies& deps = report.dependencies;
-  json += ",\"dependencies\":{\"enabled\":";
-  json += deps.enabled ? "true" : "false";
-  json += ",\"explicit_edges\":";
-  append_u64(json, deps.explicit_edges);
-  json += ",\"raw_edges\":";
-  append_u64(json, deps.raw_edges);
-  json += ",\"war_edges\":";
-  append_u64(json, deps.war_edges);
-  json += ",\"waw_edges\":";
-  append_u64(json, deps.waw_edges);
-  json += ",\"total_edges\":";
-  append_u64(json, deps.total_edges);
-  json += ",\"critical_path_length\":" +
-          std::to_string(deps.critical_path_length);
-  json += ",\"max_ready_width\":" + std::to_string(deps.max_ready_width);
-  json += ",\"tasks_enabled\":";
-  append_u64(json, deps.tasks_enabled);
-  json += ",\"edges_released\":";
-  append_u64(json, deps.edges_released);
-  json += ",\"tasks_unretired\":";
-  append_u64(json, deps.tasks_unretired);
-  json += "}";
-
-  const RunReport::Autoscaling& scaling = report.autoscaling;
-  json += ",\"autoscaling\":{\"enabled\":";
-  json += scaling.enabled ? "true" : "false";
-  json += ",\"scale_out_events\":" + std::to_string(scaling.scale_out_events);
-  json += ",\"scale_in_events\":" + std::to_string(scaling.scale_in_events);
-  json += ",\"nodes_drained\":" + std::to_string(scaling.nodes_drained);
-  json += ",\"nodes_joined\":" + std::to_string(scaling.nodes_joined);
-  json += ",\"node_losses\":" + std::to_string(scaling.node_losses);
-  json += ",\"tasks_drained\":";
-  append_u64(json, scaling.tasks_drained);
-  json += ",\"migrations\":";
-  append_u64(json, scaling.migrations);
-  json += ",\"migrated_bytes\":";
-  append_u64(json, scaling.migrated_bytes);
-  json += ",\"warm_fills\":";
-  append_u64(json, scaling.warm_fills);
-  json += ",\"warm_fill_bytes\":";
-  append_u64(json, scaling.warm_fill_bytes);
-  json += ",\"drain_latency_total_us\":";
-  append_double(json, scaling.drain_latency_total_us);
-  json += ",\"drain_latency_max_us\":";
-  append_double(json, scaling.drain_latency_max_us);
-  json += "}";
-
-  const RunReport::Occupancy& occupancy = report.occupancy;
-  json += ",\"occupancy\":{\"enabled\":";
-  json += occupancy.enabled ? "true" : "false";
-  json += ",\"threshold\":";
-  append_double(json, occupancy.threshold);
-  json += ",\"total_warps\":" + std::to_string(occupancy.total_warps);
-  json += ",\"budget_warps\":" + std::to_string(occupancy.budget_warps);
-  json += ",\"per_gpu\":[";
-  for (std::size_t gpu = 0; gpu < occupancy.per_gpu.size(); ++gpu) {
-    const RunReport::Occupancy::Gpu& g = occupancy.per_gpu[gpu];
-    if (gpu > 0) json += ',';
-    json += "{\"gpu\":" + std::to_string(gpu);
-    json += ",\"peak_warps\":" + std::to_string(g.peak_warps);
-    json += ",\"mean_occupancy\":";
-    append_double(json, g.mean_occupancy);
-    json += "}";
-  }
-  json += "],\"admissions\":";
-  append_u64(json, occupancy.admissions);
-  json += ",\"rejections\":";
-  append_u64(json, occupancy.rejections);
-  json += ",\"co_run_pairs\":";
-  append_u64(json, occupancy.co_run_pairs);
-  json += "}";
-
-  const RunReport::NetworkFaults& net = report.network_faults;
-  json += ",\"network_faults\":{\"enabled\":";
-  json += net.enabled ? "true" : "false";
-  json += ",\"link_degradations\":" + std::to_string(net.link_degradations);
-  json += ",\"link_partitions\":" + std::to_string(net.link_partitions);
-  json += ",\"link_heals\":" + std::to_string(net.link_heals);
-  json += ",\"fetch_timeouts\":";
-  append_u64(json, net.fetch_timeouts);
-  json += ",\"hedged_fetches\":";
-  append_u64(json, net.hedged_fetches);
-  json += ",\"hedges_wasted\":";
-  append_u64(json, net.hedges_wasted);
-  json += ",\"hedge_wasted_bytes\":";
-  append_u64(json, net.hedge_wasted_bytes);
-  json += ",\"nodes_suspected\":" + std::to_string(net.nodes_suspected);
-  json += ",\"suspicions_cleared\":" + std::to_string(net.suspicions_cleared);
-  json += ",\"suspicions_escalated\":" +
-          std::to_string(net.suspicions_escalated);
-  json += "}";
-
-  const RunReport::Slo& slo = report.slo;
-  json += ",\"slo\":{\"enabled\":";
-  json += slo.enabled ? "true" : "false";
-  json += ",\"tiers\":" + std::to_string(slo.tiers);
-  json += ",\"jobs_fused\":";
-  append_u64(json, slo.jobs_fused);
-  json += ",\"super_tasks\":";
-  append_u64(json, slo.super_tasks);
-  json += ",\"batches_unfused\":";
-  append_u64(json, slo.batches_unfused);
-  json += ",\"evictions_vetoed\":";
-  append_u64(json, slo.evictions_vetoed);
-  json += ",\"protections\":";
-  append_u64(json, slo.protections);
-  json += ",\"per_tier\":[";
-  for (std::size_t i = 0; i < slo.per_tier.size(); ++i) {
-    const RunReport::Slo::Tier& tier = slo.per_tier[i];
-    if (i > 0) json += ',';
-    json += "{\"tier\":" + std::to_string(tier.tier);
-    json += ",\"jobs\":" + std::to_string(tier.jobs);
-    json += ",\"p50_us\":";
-    append_double(json, tier.p50_us);
-    json += ",\"p95_us\":";
-    append_double(json, tier.p95_us);
-    json += ",\"p99_us\":";
-    append_double(json, tier.p99_us);
-    json += ",\"deadline_misses\":" + std::to_string(tier.deadline_misses);
-    json += "}";
-  }
-  json += "]}}";
-  return json;
+  std::string out;
+  util::json::Writer json(out);
+  write_run_report(json, report);
+  return out;
 }
 
 bool write_run_reports(const std::vector<RunReport>& reports,
                        const std::string& context, const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) return false;
-  std::string json = "{\"schema_version\":";
-  json += std::to_string(RunReport::kSchemaVersion);
-  json += ",\"context\":";
-  append_json_string(json, context);
-  json += ",\"runs\":[\n";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    if (i > 0) json += ",\n";
-    json += run_report_to_json(reports[i]);
-  }
-  json += "\n]}\n";
-  const bool ok = std::fputs(json.c_str(), file) >= 0 && std::fflush(file) == 0;
+  std::string out;
+  util::json::Writer json(out);
+  json.begin_object()
+      .field("schema_version", RunReport::kSchemaVersion)
+      .field("context", context)
+      .key("runs")
+      .begin_array(util::json::Writer::kLines);
+  for (const RunReport& report : reports) write_run_report(json, report);
+  json.end_array().end_object();
+  out += '\n';
+  const bool ok = std::fputs(out.c_str(), file) >= 0 && std::fflush(file) == 0;
   std::fclose(file);
   return ok;
 }
