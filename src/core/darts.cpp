@@ -90,7 +90,7 @@ void DartsScheduler::prepare(const TaskGraph& graph, const Platform& platform,
   for (PerGpu& gpu_state : per_gpu_) {
     gpu_state.data_not_in_mem.init(num_data);
     gpu_state.use_stamp.assign(num_data, 0);
-    gpu_state.in_mem.assign(num_data, 0);
+    gpu_state.mirror.reset(num_data);
     gpu_state.missing.assign(num_tasks, 0);
     for (auto& count : gpu_state.count) count.assign(num_data, 0);
   }
@@ -253,7 +253,7 @@ void DartsScheduler::admit(TaskId task) {
   for (PerGpu& gpu_state : per_gpu_) {
     std::uint32_t missing = 0;
     for (DataId data : inputs) {
-      if (gpu_state.in_mem[data] == 0) ++missing;
+      if (!gpu_state.mirror.contains(data)) ++missing;
     }
     gpu_state.missing[task] = missing;
   }
@@ -288,11 +288,7 @@ void DartsScheduler::adjust_counts(PerGpu& gpu_state, TaskId task,
 
 void DartsScheduler::sync_memory(GpuId gpu, const MemoryView& memory) {
   PerGpu& gpu_state = per_gpu_[gpu];
-  const auto num_data = static_cast<DataId>(gpu_state.in_mem.size());
-  for (DataId data = 0; data < num_data; ++data) {
-    const bool present = memory.is_present_or_fetching(data);
-    if (present == (gpu_state.in_mem[data] != 0)) continue;
-    gpu_state.in_mem[data] = present ? 1 : 0;
+  gpu_state.mirror.sync(memory, [&](DataId data, bool present) {
     for_each_live_consumer(data, [&](TaskId task) {
       const bool available = state_[task] == TaskState::kAvailable;
       if (available) adjust_counts(gpu_state, task, false);
@@ -303,7 +299,7 @@ void DartsScheduler::sync_memory(GpuId gpu, const MemoryView& memory) {
       }
       if (available) adjust_counts(gpu_state, task, true);
     });
-  }
+  });
 }
 
 bool DartsScheduler::counts_match_rescan(GpuId gpu,
@@ -459,7 +455,7 @@ TaskId DartsScheduler::pop_task(GpuId gpu, const MemoryView& memory) {
 
 TaskId DartsScheduler::plan_and_pop(GpuId gpu, DataId data) {
   PerGpu& gpu_state = per_gpu_[gpu];
-  collect_available(gpu, data, gpu_state.in_mem[data] != 0 ? 0 : 1);
+  collect_available(gpu, data, gpu_state.mirror.contains(data) ? 0 : 1);
   MG_DCHECK(!free_tasks_.empty());
   for (TaskId task : free_tasks_) {
     leave_pool(task);
@@ -556,7 +552,8 @@ TaskId DartsScheduler::take_three_inputs(GpuId gpu) {
   if (best_data == kInvalidData) return kInvalidTask;
 
   // Pick one qualifying task of best_data uniformly at random.
-  collect_available(gpu, best_data, gpu_state.in_mem[best_data] != 0 ? 1 : 2);
+  collect_available(gpu, best_data,
+                    gpu_state.mirror.contains(best_data) ? 1 : 2);
   MG_DCHECK(!free_tasks_.empty());
   const TaskId task = free_tasks_[rng_.pick_index(free_tasks_)];
   for (DataId data : graph_->inputs(task)) remove_data_from_scan(gpu, data);

@@ -26,13 +26,15 @@
 // (m is 3inputs' one-load-away count); for D present or fetching — it can
 // still be on the list — n(D) = count[0][D] and m(D) = count[1][D]. The
 // mirror is synced against the MemoryView at the start of every planning
-// decision: each data is probed and every flip updates missing[] and the
-// counts of that data's live consumers (arrived and not done). The probe
-// sees what no hook announces — fetch starts and drain-time wipes — so n(D)
-// is exactly what a rescan would find, and decisions and RNG draws are the
-// rescan's. A decision costs O(|data|) probes, the flips since the last
-// decision, and O(|dataNotInMem|) count reads. Debug builds recount n(D)
-// and m(D) by the rescan at each decision and abort on a mismatch.
+// decision: the data the view's residency journal logged since the last
+// decision are re-probed (every data, for a view without a journal), and
+// every flip updates missing[] and the counts of that data's live consumers
+// (arrived and not done). The journal logs what no hook announces — fetch
+// starts and drain-time wipes — so n(D) is exactly what a rescan would
+// find, and decisions and RNG draws are the rescan's. A decision costs the
+// journal entries since the last decision, the flips among them, and
+// O(|dataNotInMem|) count reads. Debug builds recount n(D) and m(D) by the
+// rescan at each decision and abort on a mismatch.
 //
 // Eviction side (LUF): prefer a victim used by no task of the GPU's pipeline
 // (taskBuffer), minimizing uses by plannedTasks; otherwise apply Belady's
@@ -60,6 +62,7 @@
 
 #include "core/eviction.hpp"
 #include "core/ids.hpp"
+#include "core/memory_view.hpp"
 #include "core/scheduler.hpp"
 #include "util/rng.hpp"
 
@@ -196,7 +199,7 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
 
     /// Present-or-fetching mirror of the GPU's memory as of its last
     /// planning decision (see sync_memory).
-    std::vector<std::uint8_t> in_mem;
+    ResidencyMirror mirror;
     /// Inputs of each live task absent from the mirror.
     std::vector<std::uint32_t> missing;
     /// count[k][D]: available consumers of D with missing == k.
@@ -204,11 +207,11 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
 
     /// n(D): available tasks needing no load besides D.
     [[nodiscard]] std::uint32_t freed_by(DataId data) const {
-      return in_mem[data] != 0 ? count[0][data] : count[1][data];
+      return mirror.contains(data) ? count[0][data] : count[1][data];
     }
     /// m(D): available tasks exactly one load besides D away (3inputs).
     [[nodiscard]] std::uint32_t one_away_with(DataId data) const {
-      return in_mem[data] != 0 ? count[1][data] : count[2][data];
+      return mirror.contains(data) ? count[1][data] : count[2][data];
     }
   };
 

@@ -1,5 +1,8 @@
 #include "sched/dmda.hpp"
 
+#include <algorithm>
+#include <deque>
+
 #include "util/check.hpp"
 
 namespace mg::sched {
@@ -11,7 +14,6 @@ void DmdaScheduler::prepare(const core::TaskGraph& graph,
   graph_ = &graph;
   platform_ = &platform;
   const std::uint32_t num_gpus = platform.num_gpus;
-  queues_.assign(num_gpus, {});
   dead_.assign(num_gpus, 0);
   occ_hinted_ = false;
   occ_active_warps_.assign(num_gpus, 0);
@@ -28,7 +30,8 @@ void DmdaScheduler::prepare(const core::TaskGraph& graph,
     // task without predecessors. Later enablements arrive through
     // notify_task_retired.
     enabled_.assign(graph.num_tasks(), 0);
-    allocated_.assign(graph.num_tasks(), 0);
+    queue_of_.assign(graph.num_tasks(), core::kInvalidGpu);
+    position_.assign(graph.num_tasks(), 0);
     if (!streaming_) {
       for (core::TaskId task = 0; task < graph.num_tasks(); ++task) {
         if (graph.num_predecessors(task) == 0) enabled_[task] = 1;
@@ -36,7 +39,12 @@ void DmdaScheduler::prepare(const core::TaskGraph& graph,
     }
   } else {
     enabled_.clear();
-    allocated_.clear();
+    queue_of_.clear();
+    position_.clear();
+  }
+  queues_.assign(num_gpus, {});
+  for (ReadyIndex& queue : queues_) {
+    queue.reset(graph, ready_, ready_window_, deps_ ? &position_ : nullptr);
   }
 
   if (streaming_) return;  // tasks are allocated as their jobs arrive
@@ -68,14 +76,18 @@ void DmdaScheduler::allocate(core::TaskId task) {
     }
   }
   MG_CHECK_MSG(best_gpu != core::kInvalidGpu, "no surviving GPU to allocate to");
-  if (deps_) allocated_[task] = 1;
-  queues_[best_gpu].push_back(task);
+  enqueue(best_gpu, task);
   // Only compute occupies the worker: transfers are overlapped with the
   // execution of earlier tasks (StarPU's dm/dmda model). Keeping comm out
   // of the backlog is what lets the model colocate data-sharing tasks.
   finish_us_[best_gpu] +=
       platform.compute_time_us(graph.task_flops(task), best_gpu);
   for (core::DataId data : graph.inputs(task)) in_mem_[best_gpu][data] = true;
+}
+
+void DmdaScheduler::enqueue(core::GpuId gpu, core::TaskId task) {
+  if (deps_) queue_of_[task] = gpu;
+  queues_[gpu].push_back(task, !deps_ || enabled_[task] != 0);
 }
 
 void DmdaScheduler::notify_job_arrived(std::uint32_t job,
@@ -96,7 +108,11 @@ void DmdaScheduler::notify_task_retired(
     enabled_[succ] = 1;
     // Batch mode allocated the whole graph in prepare; a streamed task that
     // was dependency-blocked at its job's arrival is placed now.
-    if (streaming_ && allocated_[succ] == 0) allocate(succ);
+    if (const core::GpuId gpu = queue_of_[succ]; gpu != core::kInvalidGpu) {
+      queues_[gpu].enable(succ);
+    } else if (streaming_) {
+      allocate(succ);
+    }
   }
 }
 
@@ -104,26 +120,26 @@ std::vector<core::DataId> DmdaScheduler::prefetch_hints(core::GpuId gpu) {
   if (!push_prefetch_) return {};
   std::vector<core::DataId> hints;
   std::vector<bool> seen(graph_->num_data(), false);
-  for (core::TaskId task : queues_[gpu]) {
+  queues_[gpu].find_in_order([&](std::uint32_t, core::TaskId task) {
     for (core::DataId data : graph_->inputs(task)) {
       if (!seen[data]) {
         seen[data] = true;
         hints.push_back(data);
       }
     }
-  }
+    return false;
+  });
   return hints;
 }
 
 bool DmdaScheduler::notify_gpu_lost(core::GpuId gpu,
                                     std::span<const core::TaskId> orphaned) {
   dead_[gpu] = 1;
-  std::deque<core::TaskId>& dead_queue = queues_[gpu];
 
   // Orphans first (they were next to run), then the unpopped remainder.
   std::vector<core::TaskId> displaced(orphaned.begin(), orphaned.end());
-  displaced.insert(displaced.end(), dead_queue.begin(), dead_queue.end());
-  dead_queue.clear();
+  const std::vector<core::TaskId> unpopped = queues_[gpu].take_all();
+  displaced.insert(displaced.end(), unpopped.begin(), unpopped.end());
 
   bool any_survivor = false;
   for (core::GpuId other = 0; other < queues_.size(); ++other) {
@@ -141,7 +157,7 @@ bool DmdaScheduler::notify_gpu_lost(core::GpuId gpu,
         target = other;
       }
     }
-    queues_[target].push_back(task);
+    enqueue(target, task);
   }
   return true;
 }
@@ -156,28 +172,39 @@ void DmdaScheduler::notify_occupancy(core::GpuId gpu,
 
 core::TaskId DmdaScheduler::pop_task(core::GpuId gpu,
                                      const core::MemoryView& memory) {
-  std::deque<core::TaskId>& queue = queues_[gpu];
+  ReadyIndex& queue = queues_[gpu];
   if (queue.empty()) return core::kInvalidTask;
   // Sharing mode, GPU partially busy: prefer a queued task that fits the
   // free warps so it co-runs instead of blocking at admission.
   if (occ_hinted_ && occ_active_warps_[gpu] > 0) {
     const std::uint32_t free = occ_free_warps_[gpu];
     const std::size_t window = std::min(queue.size(), ready_window_);
-    for (std::size_t i = 0; i < window; ++i) {
-      const core::TaskId task = queue[i];
-      if (deps_ && enabled_[task] == 0) continue;
+    std::size_t seen = 0;
+    std::uint32_t fit = ReadyIndex::kNone;
+    queue.find_in_order([&](std::uint32_t pos, core::TaskId task) {
+      if (seen++ == window) return true;
+      if (deps_ && enabled_[task] == 0) return false;
       const std::uint32_t warps = graph_->task_warps(task);
-      if (warps != 0 && warps <= free) {
-        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
-        return task;
-      }
-    }
+      if (warps == 0 || warps > free) return false;
+      fit = pos;
+      return true;
+    });
+    if (fit != ReadyIndex::kNone) return queue.remove(fit);
   }
+  const std::uint32_t pos = queue.choose(memory);
+  const core::TaskId task =
+      pos == ReadyIndex::kNone ? core::kInvalidTask : queue.at(pos);
+  MG_DCHECK(task == scan_choice(gpu, memory));
+  return task == core::kInvalidTask ? task : queue.remove(pos);
+}
+
+core::TaskId DmdaScheduler::scan_choice(core::GpuId gpu,
+                                        const core::MemoryView& memory) const {
+  const std::vector<core::TaskId> tasks = queues_[gpu].tasks();
+  std::deque<core::TaskId> queue(tasks.begin(), tasks.end());
   if (!ready_) {
     if (deps_) return pop_first_enabled(queue, enabled_);
-    const core::TaskId task = queue.front();
-    queue.pop_front();
-    return task;
+    return queue.front();
   }
   return pop_ready(queue, *graph_, memory, ready_window_,
                    deps_ ? &enabled_ : nullptr);

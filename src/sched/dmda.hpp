@@ -11,11 +11,11 @@
 // (DMDAR "does not have a global view ... cannot make a balance between
 // prefetching and eviction").
 //
-// Pop side: DMDA serves each GPU's deque FIFO; DMDAR applies Ready
-// reordering over a bounded lookahead window.
+// Pop side: DMDA serves each GPU's queue FIFO; DMDAR applies Ready
+// reordering over a bounded lookahead window. Each queue is a ReadyIndex
+// (sched/ready.hpp), so a pop costs O(log queue) instead of a scan.
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "core/scheduler.hpp"
@@ -70,8 +70,8 @@ class DmdaScheduler : public core::Scheduler {
       core::TaskId task,
       std::span<const core::TaskId> enabled_successors) override;
 
-  /// GPU loss: re-allocates the orphans and the dead GPU's unpopped deque
-  /// greedily onto the currently shortest surviving deques (the push-phase
+  /// GPU loss: re-allocates the orphans and the dead GPU's unpopped queue
+  /// greedily onto the currently shortest surviving queues (the push-phase
   /// balance rule, re-applied to the displaced work).
   [[nodiscard]] bool notify_gpu_lost(
       core::GpuId gpu, std::span<const core::TaskId> orphaned) override;
@@ -87,15 +87,22 @@ class DmdaScheduler : public core::Scheduler {
   [[nodiscard]] std::vector<core::DataId> prefetch_hints(
       core::GpuId gpu) override;
 
-  /// Predicted task allocation (push phase result), for tests.
-  [[nodiscard]] const std::deque<core::TaskId>& queue(core::GpuId gpu) const {
-    return queues_[gpu];
+  /// Predicted task allocation (push phase result), in queue order, for
+  /// tests.
+  [[nodiscard]] std::vector<core::TaskId> queue(core::GpuId gpu) const {
+    return queues_[gpu].tasks();
   }
 
  private:
   /// Push-phase allocation of one task (earliest predicted completion over
   /// the GPUs with `dead_[gpu] == 0`).
   void allocate(core::TaskId task);
+  /// Appends `task` to the queue of `gpu`.
+  void enqueue(core::GpuId gpu, core::TaskId task);
+  /// Debug oracle: the task pop_ready (or the FIFO pop for DMDA) picks from
+  /// a copy of the live queue of `gpu`.
+  [[nodiscard]] core::TaskId scan_choice(core::GpuId gpu,
+                                         const core::MemoryView& memory) const;
 
   bool ready_;
   std::size_t ready_window_;
@@ -104,14 +111,17 @@ class DmdaScheduler : public core::Scheduler {
   bool deps_ = false;
   const core::TaskGraph* graph_ = nullptr;
   const core::Platform* platform_ = nullptr;
-  std::vector<std::deque<core::TaskId>> queues_;
+  std::vector<ReadyIndex> queues_;
   std::vector<std::uint8_t> dead_;  ///< GPUs lost to fault injection
   /// Dependency gating: a queued task may only be popped once enabled
   /// (monotone — revocations after a fault are handled engine-side by
-  /// parking). `allocated_` tracks streaming-mode placement so a task
-  /// announced late (by notify_task_retired) still lands in a queue.
+  /// parking). `queue_of_` is the GPU a task was last queued on (or
+  /// kInvalidGpu: not allocated yet, so a streamed task announced late by
+  /// notify_task_retired still lands in a queue) and `position_` its
+  /// position there, kept by the ReadyIndex.
   std::vector<std::uint8_t> enabled_;
-  std::vector<std::uint8_t> allocated_;
+  std::vector<core::GpuId> queue_of_;
+  std::vector<std::uint32_t> position_;
   /// Push-phase model state, persistent across streaming arrivals.
   std::vector<std::vector<bool>> in_mem_;
   std::vector<double> finish_us_;

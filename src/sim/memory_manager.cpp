@@ -99,6 +99,7 @@ void MemoryManager::start_transfer(DataId data, bool demand,
   committed_ += graph_.data_size(data);
   MG_DCHECK(committed_ <= capacity_);
   residency_[data] = Residency::kFetching;
+  journal_.push_back(data);
   observer_->on_fetch_started(gpu_, data, demand);
   router_.request_transfer(gpu_, data, graph_.data_size(data),
                            [this, data] { on_transfer_complete(data); },
@@ -172,6 +173,7 @@ void MemoryManager::evict(DataId victim) {
   MG_DCHECK(protected_[victim] == 0);
   replica_[victim] = 0;
   residency_[victim] = Residency::kAbsent;
+  journal_.push_back(victim);
   remove_resident(victim);
   committed_ -= graph_.data_size(victim);
   ++evictions_;
@@ -268,6 +270,9 @@ std::uint32_t MemoryManager::emergency_evict() {
 
 void MemoryManager::deactivate() {
   active_ = false;
+  for (DataId data = 0; data < residency_.size(); ++data) {
+    if (residency_[data] != Residency::kAbsent) journal_.push_back(data);
+  }
   std::fill(residency_.begin(), residency_.end(), Residency::kAbsent);
   std::fill(pins_.begin(), pins_.end(), 0u);
   std::fill(resident_pos_.begin(), resident_pos_.end(), kNoPos);
@@ -293,6 +298,7 @@ void MemoryManager::wipe_resident() {
   for (DataId data : resident_) {
     MG_DCHECK(pins_[data] == 0);
     residency_[data] = Residency::kAbsent;
+    journal_.push_back(data);
     resident_pos_[data] = kNoPos;
     replica_[data] = 0;
     protected_[data] = 0;

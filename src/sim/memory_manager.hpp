@@ -97,6 +97,12 @@ class MemoryManager final : public core::MemoryView {
   [[nodiscard]] std::uint64_t used_bytes() const override {
     return committed_;
   }
+  /// Appended at every absent <-> fetching/present transition: a transfer
+  /// starts, a copy is evicted, wiped by a drain, or dropped by deactivate.
+  [[nodiscard]] const std::vector<core::DataId>* residency_journal()
+      const override {
+    return &journal_;
+  }
 
   [[nodiscard]] Residency residency(core::DataId data) const {
     return residency_[data];
@@ -240,6 +246,7 @@ class MemoryManager final : public core::MemoryView {
   std::vector<std::uint8_t> replica_;    // shed-first proactive copies
   std::vector<std::uint8_t> protected_;  // sole-surviving copies, unevictable
   std::deque<StalledFetch> stalled_;
+  std::vector<core::DataId> journal_;
   std::uint64_t committed_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t replicas_shed_ = 0;

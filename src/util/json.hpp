@@ -10,8 +10,9 @@
 // above. It yields a tree of json::Value; numbers are held as double
 // (adequate for plans and schema checks; exact 64-bit integers are not
 // needed there). Strings are strict: raw bytes below 0x20 are rejected, as
-// RFC 8259 requires, and \uXXXX escapes are kept verbatim rather than
-// decoded. Errors yield std::nullopt and, on request, the byte offset where
+// RFC 8259 requires, and \uXXXX escapes are decoded to UTF-8 (a surrogate
+// pair to one code point; a lone surrogate or a non-hex digit is an
+// error). Errors yield std::nullopt and, on request, the byte offset where
 // parsing stopped, for callers that diagnose hand-written input (e.g. fault
 // plan files).
 #pragma once
@@ -342,11 +343,19 @@ class Parser {
           case 'r': out += '\r'; break;
           case 't': out += '\t'; break;
           case 'u': {
-            // Keep the escape verbatim: schema checks never need decoding.
-            if (pos_ + 4 > text_.size()) return std::nullopt;
-            out += "\\u";
-            out.append(text_.substr(pos_, 4));
-            pos_ += 4;
+            std::uint32_t code = 0;
+            if (!parse_hex4(code)) return std::nullopt;
+            if (code >= 0xdc00 && code <= 0xdfff) return std::nullopt;
+            if (code >= 0xd800 && code <= 0xdbff) {
+              // A high surrogate needs its low half right after it.
+              std::uint32_t low = 0;
+              if (!consume('\\') || !consume('u') || !parse_hex4(low) ||
+                  low < 0xdc00 || low > 0xdfff) {
+                return std::nullopt;
+              }
+              code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+            }
+            append_utf8(out, code);
             break;
           }
           default: return std::nullopt;
@@ -356,6 +365,49 @@ class Parser {
       }
     }
     return std::nullopt;  // unterminated
+  }
+
+  /// Four hex digits into `code`; stops on the first non-hex byte, so the
+  /// error offset names it.
+  bool parse_hex4(std::uint32_t& code) {
+    for (int i = 0; i < 4; ++i) {
+      if (pos_ >= text_.size()) return false;
+      const char c = text_[pos_];
+      std::uint32_t digit = 0;
+      if (c >= '0' && c <= '9') {
+        digit = static_cast<std::uint32_t>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        digit = static_cast<std::uint32_t>(c - 'a' + 10);
+      } else if (c >= 'A' && c <= 'F') {
+        digit = static_cast<std::uint32_t>(c - 'A' + 10);
+      } else {
+        return false;
+      }
+      code = code * 16 + digit;
+      ++pos_;
+    }
+    return true;
+  }
+
+  static void append_utf8(std::string& out, std::uint32_t code) {
+    const auto byte = [&out](std::uint32_t bits) {
+      out += static_cast<char>(static_cast<unsigned char>(bits));
+    };
+    if (code < 0x80) {
+      byte(code);
+    } else if (code < 0x800) {
+      byte(0xc0 | (code >> 6));
+      byte(0x80 | (code & 0x3f));
+    } else if (code < 0x10000) {
+      byte(0xe0 | (code >> 12));
+      byte(0x80 | ((code >> 6) & 0x3f));
+      byte(0x80 | (code & 0x3f));
+    } else {
+      byte(0xf0 | (code >> 18));
+      byte(0x80 | ((code >> 12) & 0x3f));
+      byte(0x80 | ((code >> 6) & 0x3f));
+      byte(0x80 | (code & 0x3f));
+    }
   }
 
   std::optional<Value> parse_number() {

@@ -250,11 +250,11 @@ TEST(JsonEscaping, ControlCharactersInAReportContextAreEscaped) {
   const std::string escaped =
       R"("context":"ctx\nline\ttab\r\b\f\u0001\u001f\"q\"\\")";
   EXPECT_NE(json.find(escaped), std::string::npos) << json.substr(0, 200);
-  // The parser keeps \u escapes verbatim; the named escapes round-trip.
+  // Every escape, \u00XX included, reads back as the original byte.
   const auto parsed = util::json::parse(json);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->find("context")->as_string(),
-            "ctx\nline\ttab\r\b\f\\u0001\\u001f\"q\"\\");
+            "ctx\nline\ttab\r\b\f\x01\x1f\"q\"\\");
 
   const std::string path = testing::TempDir() + "/memsched_json_ctx.json";
   ASSERT_TRUE(sim::write_run_reports({collector.report()}, context, path));
@@ -403,7 +403,7 @@ TEST(JsonWriter, EscapesEveryControlCharacter) {
             "\\\"\\\\/\x7f\xc3\xa9\"");
   const auto parsed = util::json::parse(out);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->as_string().substr(0, 8), "\\u0000\\u");
+  EXPECT_EQ(parsed->as_string(), text);
 }
 
 // ---- Parser strictness -----------------------------------------------------
@@ -419,6 +419,27 @@ TEST(JsonParser, RejectsRawControlCharactersInStrings) {
   const auto ok = util::json::parse("\"a\\tb\x7f\xc3\xa9\"");
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(ok->as_string(), "a\tb\x7f\xc3\xa9");
+}
+
+TEST(JsonParser, DecodesUnicodeEscapesToUtf8) {
+  const auto parsed = util::json::parse(
+      "\"\\u0041\\u00e9\\u00E9\\u20ac\\ud83d\\ude00\\u0000z\"");
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->as_string(),
+            std::string("A\xc3\xa9\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80\0z", 14));
+}
+
+TEST(JsonParser, RejectsMalformedUnicodeEscapes) {
+  std::size_t offset = 0;
+  EXPECT_FALSE(util::json::parse("\"\\u12G4\"", &offset).has_value());
+  EXPECT_EQ(offset, 5u);  // the 'G'
+  EXPECT_FALSE(util::json::parse("\"\\u12\"").has_value());
+  EXPECT_FALSE(util::json::parse("\"\\u12").has_value());
+  // Lone or mismatched surrogates.
+  EXPECT_FALSE(util::json::parse("\"\\ud83d\"").has_value());
+  EXPECT_FALSE(util::json::parse("\"\\ud83dx\"").has_value());
+  EXPECT_FALSE(util::json::parse("\"\\ud83d\\u0041\"").has_value());
+  EXPECT_FALSE(util::json::parse("\"\\ude00\"").has_value());
 }
 
 TEST(JsonParser, FaultPlanWithARawTabInAStringNamesTheOffset) {

@@ -7,6 +7,7 @@
 #include "core/task_graph.hpp"
 #include "sim/bus.hpp"
 #include "sim/lru_eviction.hpp"
+#include "util/rng.hpp"
 
 namespace mg::sim {
 namespace {
@@ -185,6 +186,89 @@ TEST(MemoryManager, ResidentListTracksContents) {
   fixture.events.run_until_empty();
   EXPECT_EQ(fixture.manager.resident().size(), 4u);
   EXPECT_EQ(fixture.manager.evictions(), 0u);
+}
+
+TEST(MemoryManager, JournalReplayMatchesAFullPoll) {
+  // Random fetches, hints, pins, event progress, capacity shocks with
+  // emergency_evict, drain wipes and finally deactivate. After every step a
+  // mirror that only re-probes the data the journal logged since its last
+  // read must equal a full is_present_or_fetching poll.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Fixture fixture(60, /*num_data=*/16);
+    MemoryManager& manager = fixture.manager;
+    util::Rng rng(seed);
+    const std::vector<DataId>* journal = manager.residency_journal();
+    ASSERT_NE(journal, nullptr);
+    std::vector<bool> replayed(16, false);
+    std::size_t cursor = 0;
+    core::ResidencyMirror mirror;
+    mirror.reset(16);
+    std::vector<DataId> pinned;
+    std::uint64_t flips = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const auto data = static_cast<DataId>(rng.below(16));
+      switch (rng.below(10)) {
+        case 0:
+        case 1:
+          manager.fetch(data, rng.chance(0.5));
+          break;
+        case 2:
+          (void)manager.fetch_hint(data, rng.chance(0.5));
+          break;
+        case 3:
+        case 4:
+        case 5:
+          (void)fixture.events.run_one();
+          break;
+        case 6:
+          if (manager.is_present(data) && pinned.size() < 3) {
+            manager.pin(data);
+            pinned.push_back(data);
+          } else if (!pinned.empty()) {
+            manager.unpin(pinned.back());
+            pinned.pop_back();
+          }
+          break;
+        case 7:
+          // Capacity shock: shrink and evict down to it, or restore.
+          if (rng.chance(0.5)) {
+            manager.set_capacity(20 + 10 * rng.below(4));
+            (void)manager.emergency_evict();
+          } else {
+            manager.set_capacity(60);
+          }
+          break;
+        case 8:
+          if (rng.chance(0.1)) {
+            // Planned drain: cancel parked fetches, let transfers land,
+            // release pins, then wipe.
+            for (const DataId pin : pinned) manager.unpin(pin);
+            pinned.clear();
+            manager.cancel_stalled();
+            fixture.events.run_until_empty();
+            manager.cancel_stalled();
+            if (manager.quiescent()) manager.wipe_resident();
+          }
+          break;
+        default:
+          if (step > 2800 && manager.active()) manager.deactivate();
+          break;
+      }
+      for (; cursor < journal->size(); ++cursor) {
+        const DataId logged = (*journal)[cursor];
+        replayed[logged] = manager.is_present_or_fetching(logged);
+      }
+      mirror.sync(manager, [&](DataId, bool) { ++flips; });
+      for (DataId d = 0; d < 16; ++d) {
+        ASSERT_EQ(replayed[d], manager.is_present_or_fetching(d))
+            << "seed " << seed << " step " << step << " data " << d;
+        ASSERT_EQ(mirror.contains(d), manager.is_present_or_fetching(d))
+            << "seed " << seed << " step " << step << " data " << d;
+      }
+    }
+    EXPECT_FALSE(manager.active());
+    EXPECT_GT(flips, 100u);
+  }
 }
 
 TEST(MemoryManagerDeath, OversizedDataAborts) {
