@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <set>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "sched/ready.hpp"
 #include "sched/work_queue_scheduler.hpp"
 #include "sim/engine.hpp"
+#include "util/rng.hpp"
 #include "workloads/matmul2d.hpp"
 
 namespace mg::sched {
@@ -100,6 +102,114 @@ TEST(Ready, EmptyQueueReturnsInvalid) {
   StubMemory memory;
   std::deque<TaskId> queue;
   EXPECT_EQ(pop_ready(queue, graph, memory), core::kInvalidTask);
+}
+
+/// MemoryView over an explicit present-or-fetching set that journals every
+/// flip, or keeps no journal.
+class JournalMemory final : public core::MemoryView {
+ public:
+  JournalMemory(std::uint32_t num_data, bool journaled)
+      : present_(num_data, false), journaled_(journaled) {}
+  [[nodiscard]] bool is_present(DataId data) const override {
+    return present_[data];
+  }
+  [[nodiscard]] bool is_present_or_fetching(DataId data) const override {
+    return present_[data];
+  }
+  [[nodiscard]] std::uint64_t capacity_bytes() const override { return 1000; }
+  [[nodiscard]] std::uint64_t used_bytes() const override { return 0; }
+  [[nodiscard]] const std::vector<DataId>* residency_journal() const override {
+    return journaled_ ? &journal_ : nullptr;
+  }
+  void flip(DataId data) {
+    present_[data] = !present_[data];
+    journal_.push_back(data);
+  }
+
+ private:
+  std::vector<bool> present_;
+  std::vector<DataId> journal_;
+  bool journaled_;
+};
+
+TEST(ReadyIndex, MatchesTheScanUnderChurn) {
+  // Random sizes (ties included), shared inputs, interleaved appends, flips,
+  // enables and pops: growth and shrink compactions both happen.
+  core::TaskGraphBuilder builder;
+  util::Rng graph_rng(5);
+  for (int d = 0; d < 24; ++d) builder.add_data(1 + graph_rng.below(6) * 10);
+  for (int t = 0; t < 1500; ++t) {
+    std::vector<DataId> inputs;
+    const auto count = 1 + graph_rng.below(3);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const auto data = static_cast<DataId>(graph_rng.below(24));
+      if (std::find(inputs.begin(), inputs.end(), data) == inputs.end()) {
+        inputs.push_back(data);
+      }
+    }
+    builder.add_task(1.0, inputs);
+  }
+  const core::TaskGraph graph = builder.build();
+
+  for (const bool track_missing : {true, false}) {
+    for (const bool journaled : {true, false}) {
+      for (const std::size_t window : {kDefaultReadyWindow, std::size_t{1},
+                                       std::size_t{5}}) {
+        for (const bool gated : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "track " << track_missing << " journal " << journaled
+                       << " window " << window << " gated " << gated);
+          JournalMemory memory(graph.num_data(), journaled);
+          std::vector<std::uint32_t> positions(graph.num_tasks(), 0);
+          ReadyIndex index;
+          index.reset(graph, track_missing, window,
+                      gated ? &positions : nullptr);
+          std::deque<TaskId> reference;
+          std::vector<std::uint8_t> enabled(graph.num_tasks(), 0);
+          util::Rng rng(11);
+          TaskId next = 0;
+          std::uint64_t hits = 0;
+          for (int step = 0; step < 6000; ++step) {
+            const bool filling = (step / 700) % 2 == 0;
+            const std::uint64_t op = rng.below(10);
+            if (op < (filling ? 6u : 1u)) {
+              if (next == graph.num_tasks()) continue;
+              enabled[next] = !gated || rng.chance(0.5) ? 1 : 0;
+              index.push_back(next, enabled[next] != 0);
+              reference.push_back(next++);
+            } else if (op < (filling ? 8u : 4u)) {
+              memory.flip(static_cast<DataId>(rng.below(graph.num_data())));
+              if (gated && !reference.empty()) {
+                const TaskId task = reference[rng.pick_index(reference)];
+                enabled[task] = 1;
+                index.enable(task);
+              }
+            } else {
+              const std::uint32_t pos = index.choose(memory);
+              const TaskId got = pos == ReadyIndex::kNone ? core::kInvalidTask
+                                                          : index.remove(pos);
+              TaskId expected = core::kInvalidTask;
+              if (track_missing) {
+                expected = pop_ready(reference, graph, memory, window,
+                                     gated ? &enabled : nullptr);
+              } else if (gated) {
+                expected = pop_first_enabled(reference, enabled);
+              } else if (!reference.empty()) {
+                expected = reference.front();
+                reference.pop_front();
+              }
+              ASSERT_EQ(got, expected) << "step " << step;
+              if (got != core::kInvalidTask) ++hits;
+            }
+          }
+          EXPECT_GT(hits, 500u);
+          EXPECT_EQ(index.tasks(),
+                    std::vector<TaskId>(reference.begin(), reference.end()));
+          EXPECT_EQ(index.size(), reference.size());
+        }
+      }
+    }
+  }
 }
 
 TEST(Dmda, BalancesIndependentTasksAcrossGpus) {
